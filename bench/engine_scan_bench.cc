@@ -234,8 +234,10 @@ int Run(int argc, char** argv) {
     /// this dataset band-pooling collapses the bound fast (reverse
     /// triangle inequality per band: similar band energies => tiny lower
     /// bound), so the bench runs the filter at full spectral resolution
-    /// n/2, where it actually prunes; coarse dims pay off only on the
-    /// stored-row (RIDX v2) path, where each comparison is O(dims).
+    /// n/2, where it actually prunes. The in-memory engine compares
+    /// resident rows it built on first use, so a comparison costs O(dims)
+    /// wall time at any width; the step counters still price it as one
+    /// FFT (DESIGN.md §14).
     std::size_t vec_sig_dims = 0;
   };
   const std::vector<Config> configs = {

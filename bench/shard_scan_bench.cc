@@ -66,8 +66,13 @@ std::string BuildShardSet(const std::vector<Series>& db,
   std::size_t row = 0;
   for (std::size_t s = 0; s < shards; ++s) {
     const std::size_t count = per + (s < extra ? 1 : 0);
-    const std::string file =
-        "s" + std::to_string(shards) + "-" + std::to_string(s) + ".ridx";
+    // Appended piecewise: `"literal" + std::string` trips GCC 12's
+    // -Wrestrict false positive (bug 105329) inside std::string::insert.
+    std::string file = "s";
+    file += std::to_string(shards);
+    file += '-';
+    file += std::to_string(s);
+    file += ".ridx";
     Dataset part;
     part.items.assign(db.begin() + static_cast<std::ptrdiff_t>(row),
                       db.begin() + static_cast<std::ptrdiff_t>(row + count));

@@ -102,16 +102,16 @@ class FftMagnitudeFilter final : public FilterStage {
 
 /// Band-pooled rotation/mirror-invariant vector pre-filter (the VecSignature
 /// embedding): ||v(Q) - v(C)||_2 <= RED(Q, C), sound for Euclidean only.
-/// Two candidate paths with bit-identical distances: stored RIDX v2 rows
-/// (an O(dims) resident lookup) or an on-the-fly embedding (one FFT) —
-/// identical because the stored rows were produced by the same
+/// Two candidate paths with bit-identical distances: resident rows (an
+/// O(dims) lookup charged `row_steps`) or an on-the-fly embedding (one
+/// FFT) — identical because the rows were produced by the same
 /// MakeVecSignature over the same candidate bytes.
 class VecSignatureFilter final : public FilterStage {
  public:
   VecSignatureFilter(const Series& query, std::size_t dims,
                      const double* stored_rows, std::size_t stored_dims,
-                     StepCounter* counter)
-      : n_(query.size()), rows_(stored_rows) {
+                     std::uint64_t row_steps, StepCounter* counter)
+      : n_(query.size()), rows_(stored_rows), row_steps_(row_steps) {
     if (n_ < 2) return;  // no spectrum to pool; Prune never fires
     // The stored dimensionality is authoritative when rows exist — both
     // sides of the distance must live in the same pooled space.
@@ -136,7 +136,7 @@ class VecSignatureFilter final : public FilterStage {
         const double diff = signature_.values[b] - row[b];
         acc += diff * diff;
       }
-      AddSteps(counter, dims_);
+      AddSteps(counter, row_steps_);
       d = std::sqrt(acc);
     } else {
       AddSteps(counter, FftStepCost(n_));
@@ -153,6 +153,7 @@ class VecSignatureFilter final : public FilterStage {
  private:
   std::size_t n_;
   const double* rows_ = nullptr;  ///< count x dims_ resident matrix or null.
+  std::uint64_t row_steps_ = 0;   ///< steps charged per row lookup.
   std::size_t dims_ = 0;
   VecSignature signature_;
 };
@@ -518,13 +519,15 @@ class ScanTerminal final : public TerminalStage {
 /// sum exactly to the query's StepCounter.
 class QueryCascade {
  public:
-  /// `stored_vec_sigs`/`stored_vec_sig_dims` feed the kVecSignature filter
-  /// its resident RIDX v2 rows (nullptr/0 → embed candidates on the fly).
+  /// `vec_sig_rows`/`vec_sig_dims`/`vec_sig_row_steps` feed the
+  /// kVecSignature filter its resident rows and their per-lookup price
+  /// (nullptr → embed candidates on the fly).
   QueryCascade(const Series& query, const EngineOptions& options,
                StepCounter* counter, obs::QueryMetrics* metrics = nullptr,
                const CancelToken* cancel = nullptr,
-               const double* stored_vec_sigs = nullptr,
-               std::size_t stored_vec_sig_dims = 0)
+               const double* vec_sig_rows = nullptr,
+               std::size_t vec_sig_dims = 0,
+               std::uint64_t vec_sig_row_steps = 0)
       : metrics_(metrics), cancel_(cancel) {
     for (StageKind kind : options.cascade.stages) {
       if (IsTerminal(kind)) {
@@ -570,8 +573,8 @@ class QueryCascade {
         case StageKind::kVecSignature: {
           StageScope scope(StatsFor(obs::StageId::kVecSignature), counter);
           filters_.push_back(std::make_unique<VecSignatureFilter>(
-              query, options.vec_sig_dims, stored_vec_sigs,
-              stored_vec_sig_dims, counter));
+              query, options.vec_sig_dims, vec_sig_rows, vec_sig_dims,
+              vec_sig_row_steps, counter));
           break;
         }
         case StageKind::kLbImproved: {
@@ -1057,6 +1060,7 @@ QueryEngine::QueryEngine(const FlatDataset& db, const EngineOptions& options)
   // the zero-copy default.
   backend_ = opened.ok() ? *std::move(opened)
                          : std::make_unique<storage::InMemoryBackend>(db);
+  InitVecSigSource();
 }
 
 QueryEngine::QueryEngine(const std::vector<Series>& db,
@@ -1071,6 +1075,7 @@ QueryEngine::QueryEngine(std::unique_ptr<storage::StorageBackend> backend,
   options_.cascade = options.cascade.Normalized(options.kind);
   ROTIND_CONTRACT(backend_ != nullptr,
                   "the backend-owning constructor needs a backend");
+  InitVecSigSource();
 }
 
 StatusOr<std::unique_ptr<QueryEngine>> QueryEngine::Open(
@@ -1116,23 +1121,59 @@ bool QueryEngine::BackendDoesIo() const {
          backend_->backend_kind() != storage::BackendKind::kInMemory;
 }
 
-void QueryEngine::ResolveStoredVecSigs(std::size_t query_length,
-                                       const double** rows,
-                                       std::size_t* dims) const {
-  *rows = nullptr;
-  *dims = 0;
+void QueryEngine::InitVecSigSource() {
+  const std::vector<StageKind>& stages = options_.cascade.stages;
+  if (std::find(stages.begin(), stages.end(), StageKind::kVecSignature) ==
+      stages.end()) {
+    return;
+  }
   // dynamic_cast, not a kind check: FaultInjectingBackend forwards the
   // inner backend_kind() but its fetches inject faults; its candidates
   // must be embedded from the fetched bytes, not trusted resident rows.
-  const auto* fb = dynamic_cast<const storage::FileBackend*>(backend_.get());
-  if (fb == nullptr) return;
-  const storage::IndexFile& file = fb->file();
-  if (file.ri_dims() == 0) return;
-  // The stored dimensionality must fit the query's pooled space
-  // (dims <= n/2) or the two embedding sides would be incomparable.
-  if (query_length < 2 || file.ri_dims() > query_length / 2) return;
-  *rows = file.ri_signatures().data();
-  *dims = file.ri_dims();
+  if (const auto* fb =
+          dynamic_cast<const storage::FileBackend*>(backend_.get())) {
+    const storage::IndexFile& file = fb->file();
+    if (file.ri_dims() > 0) {
+      stored_vec_sigs_ = {file.ri_signatures().data(), file.ri_dims(),
+                          file.ri_dims()};
+    }
+  } else if (BlockedSource() != nullptr) {
+    vec_sig_cache_ = std::make_unique<VecSigCache>();
+  }
+}
+
+QueryEngine::VecSigRows QueryEngine::ResolveVecSigRows(
+    std::size_t query_length, obs::QueryMetrics* metrics) const {
+  if (query_length < 2) return {};
+  if (stored_vec_sigs_.data != nullptr) {
+    // The stored dimensionality must fit the query's pooled space
+    // (dims <= n/2) or the two embedding sides would be incomparable.
+    if (stored_vec_sigs_.dims > query_length / 2) return {};
+    return stored_vec_sigs_;
+  }
+  const FlatDataset* flat = BlockedSource();
+  if (vec_sig_cache_ == nullptr || flat->length() != query_length) return {};
+  // The same clamp VecSignatureFilter applies to a per-candidate embedding.
+  const std::size_t dims = std::min(
+      std::max<std::size_t>(options_.vec_sig_dims, 1), query_length / 2);
+  obs::StageStats* stats =
+      metrics != nullptr ? &metrics->stage(obs::StageId::kVecSignature)
+                         : nullptr;
+  const StageScope scope(stats, nullptr);
+  VecSigCache& cache = *vec_sig_cache_;
+  const MutexLock lock(cache.mutex);
+  if (cache.rows.empty()) {
+    cache.rows.reserve(flat->size() * dims);
+    for (std::size_t i = 0; i < flat->size(); ++i) {
+      const VecSignature sig = MakeVecSignature(
+          Series(flat->data(i), flat->data(i) + query_length), dims);
+      cache.rows.insert(cache.rows.end(), sig.values.begin(), sig.values.end());
+    }
+  }
+  ROTIND_CONTRACT(cache.rows.size() == flat->size() * dims,
+                  "the borrowed FlatDataset grew after the engine built its "
+                  "vec-signature rows");
+  return {cache.rows.data(), dims, FftStepCost(query_length)};
 }
 
 ScanResult QueryEngine::Search(const Series& query,
@@ -1164,11 +1205,9 @@ ScanResult QueryEngine::SearchImpl(const Series& query, std::size_t holdout,
   ScanResult result;
   result.best_distance = kInf;
   const QueryLatencyScope latency(metrics);
-  const double* vec_sig_rows = nullptr;
-  std::size_t vec_sig_dims = 0;
-  ResolveStoredVecSigs(query.size(), &vec_sig_rows, &vec_sig_dims);
+  const VecSigRows sig_rows = ResolveVecSigRows(query.size(), metrics);
   QueryCascade cascade(query, options_, &result.counter, metrics, cancel,
-                       vec_sig_rows, vec_sig_dims);
+                       sig_rows.data, sig_rows.dims, sig_rows.steps_per_row);
   BestCollector inner(&result);
   storage::FetchStats fetch_io;
   obs::StageStats* fetch_stats =
@@ -1237,11 +1276,9 @@ std::vector<Neighbor> QueryEngine::KnnImpl(const Series& query, int k,
   StepCounter local;
   StepCounter* cnt = counter != nullptr ? counter : &local;
   const QueryLatencyScope latency(metrics);
-  const double* vec_sig_rows = nullptr;
-  std::size_t vec_sig_dims = 0;
-  ResolveStoredVecSigs(query.size(), &vec_sig_rows, &vec_sig_dims);
-  QueryCascade cascade(query, options_, cnt, metrics, cancel, vec_sig_rows,
-                       vec_sig_dims);
+  const VecSigRows sig_rows = ResolveVecSigRows(query.size(), metrics);
+  QueryCascade cascade(query, options_, cnt, metrics, cancel, sig_rows.data,
+                       sig_rows.dims, sig_rows.steps_per_row);
   KnnCollector inner(k);
   storage::FetchStats fetch_io;
   obs::StageStats* fetch_stats =
@@ -1295,11 +1332,9 @@ std::vector<Neighbor> QueryEngine::RangeImpl(const Series& query,
   StepCounter local;
   StepCounter* cnt = counter != nullptr ? counter : &local;
   const QueryLatencyScope latency(metrics);
-  const double* vec_sig_rows = nullptr;
-  std::size_t vec_sig_dims = 0;
-  ResolveStoredVecSigs(query.size(), &vec_sig_rows, &vec_sig_dims);
-  QueryCascade cascade(query, options_, cnt, metrics, cancel, vec_sig_rows,
-                       vec_sig_dims);
+  const VecSigRows sig_rows = ResolveVecSigRows(query.size(), metrics);
+  QueryCascade cascade(query, options_, cnt, metrics, cancel, sig_rows.data,
+                       sig_rows.dims, sig_rows.steps_per_row);
   RangeCollector collector(radius);
   storage::FetchStats fetch_io;
   obs::StageStats* fetch_stats =

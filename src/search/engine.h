@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -13,6 +14,7 @@
 #include "src/core/series.h"
 #include "src/core/status.h"
 #include "src/core/step_counter.h"
+#include "src/core/sync.h"
 #include "src/distance/measure.h"
 #include "src/distance/rotation.h"
 #include "src/obs/metrics.h"
@@ -35,10 +37,12 @@ enum class StageKind {
   /// 4.2). Sound for kEuclidean only; dropped for other measures.
   kFftMagnitude,
   /// Filter: band-pooled rotation/mirror-invariant vector embedding
-  /// (fourier::VecSignature) — cheaper per candidate than the FFT filter
-  /// when the database carries a RIDX v2 signature section (the stored
-  /// rows are compared directly; otherwise candidates are embedded on the
-  /// fly). Sound for kEuclidean only; dropped for other measures.
+  /// (fourier::VecSignature). Candidates are compared as resident rows
+  /// where the engine has them — a file backend's RIDX v2 signature
+  /// section, or, over an in-memory FlatDataset, one matrix the engine
+  /// builds on its first vec-signature query — and embedded one FFT per
+  /// candidate per query otherwise (see QueryEngine). Sound for
+  /// kEuclidean only; dropped for other measures.
   kVecSignature,
   /// Filter: two-pass LB_Improved (Lemire) against the query's rotation
   /// wedge — the second-chance stage after LB_Keogh fails to prune. Sound
@@ -108,7 +112,8 @@ struct EngineOptions {
   CascadeSpec cascade;
   SimdOptions simd;
   /// Dimensionality of the kVecSignature filter's pooled embedding when the
-  /// backend has no stored RIDX v2 rows (clamped to n/2 per query). A
+  /// backend has no stored RIDX v2 rows (clamped to n/2 per query); also
+  /// the width of the rows an in-memory engine builds on first use. A
   /// file backend with a signature section overrides this: the stored
   /// dimensionality is authoritative, since both sides must agree.
   std::size_t vec_sig_dims = 8;
@@ -205,9 +210,13 @@ class SharedBound {
 /// EngineOptions::storage. The borrowed source (FlatDataset or legacy
 /// vector<Series>) must outlive the engine. All search methods are const
 /// and thread-compatible: concurrent calls on one engine are safe because
-/// per-query state (rotation sets, wedge trees, signatures) is built per
-/// call and the backends are internally synchronized — this is what
-/// SearchBatch relies on.
+/// per-query state (rotation sets, wedge trees, the query's signatures) is
+/// built per call, the backends are internally synchronized, and the one
+/// piece of shared lazy state — the vec-signature row matrix of an
+/// in-memory engine, built by its first kVecSignature query — is built
+/// once under a mutex and read-only afterwards. That matrix describes the
+/// borrowed FlatDataset as it was at first use, so the dataset must not
+/// grow afterwards. This is what SearchBatch relies on.
 class QueryEngine {
  public:
   /// Engine over contiguous storage (the fast path). Honors
@@ -390,18 +399,51 @@ class QueryEngine {
   /// metrics shape.
   bool BackendDoesIo() const;
 
-  /// Resolves the RIDX v2 rotation-invariant signature rows for the
-  /// kVecSignature filter: points `*rows` at the file backend's resident
-  /// count x *dims matrix when one exists (and its dimensionality fits the
-  /// query length), else nullptr/0 — the filter then embeds candidates on
-  /// the fly, which returns bit-identical distances since the stored rows
-  /// were produced by the same MakeVecSignature over the same bytes.
-  void ResolveStoredVecSigs(std::size_t query_length, const double** rows,
-                            std::size_t* dims) const;
+  /// Resident candidate rows for the kVecSignature filter: a count x dims
+  /// matrix and the steps one row lookup charges. data == nullptr means
+  /// the filter embeds each candidate itself (one FFT per candidate).
+  struct VecSigRows {
+    const double* data = nullptr;
+    std::size_t dims = 0;
+    std::uint64_t steps_per_row = 0;
+  };
+
+  /// The matrix an in-memory engine builds on its first kVecSignature
+  /// query. `mutex` is kLeaf: the build acquires nothing under it, and
+  /// holding it across the build makes concurrent first queries build
+  /// once. Read-only once filled.
+  struct VecSigCache {
+    Mutex mutex;
+    std::vector<double> rows ROTIND_GUARDED_BY(mutex);
+  };
+
+  /// Chooses the kVecSignature row source once (called by every
+  /// constructor): a FileBackend's RIDX v2 section, else an empty
+  /// VecSigCache when BlockedSource() is non-null, else neither — the
+  /// simulated, fault-injecting, sharded-view and legacy vector<Series>
+  /// engines keep embedding per candidate. Only cascades that contain
+  /// kVecSignature get a source.
+  void InitVecSigSource();
+
+  /// The rows one query of `query_length` reads:
+  ///   - stored RIDX rows when their dims fit the query (dims <= n/2),
+  ///     charging dims steps per lookup;
+  ///   - the VecSigCache rows when the query length equals the dataset
+  ///     length, built here on first use, charging FftStepCost(n) per
+  ///     lookup — the price of the embedding each row replaces, so
+  ///     counters match the per-candidate path. The build charges no
+  ///     steps; its wall time lands on `metrics`' kVecSignature stage;
+  ///   - none otherwise.
+  /// Distances are bit-identical on every path: each row holds exactly
+  /// the doubles MakeVecSignature returns for that candidate.
+  VecSigRows ResolveVecSigRows(std::size_t query_length,
+                               obs::QueryMetrics* metrics) const;
 
   const std::vector<Series>* vec_ = nullptr;
   std::unique_ptr<storage::StorageBackend> backend_;
   EngineOptions options_;
+  VecSigRows stored_vec_sigs_;
+  std::unique_ptr<VecSigCache> vec_sig_cache_;
 };
 
 }  // namespace rotind

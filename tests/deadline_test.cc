@@ -70,8 +70,9 @@ TEST(CancelTokenTest, DeadlineWinsOverCancel) {
 }
 
 /// Every cascade composition the engine supports, exercised below under
-/// deadlines. Filters are per-measure normalized, so the fft entries only
-/// differ from their suffix under kEuclidean — which the fixture uses.
+/// deadlines. Filters are per-measure normalized, so the fft and vecsig
+/// entries only differ from their suffix under kEuclidean — which the
+/// fixture uses.
 std::vector<CascadeSpec> AllCascades() {
   return {
       CascadeSpec{{StageKind::kWedge}},
@@ -80,6 +81,9 @@ std::vector<CascadeSpec> AllCascades() {
       CascadeSpec{{StageKind::kFullScanBanded}},
       CascadeSpec{{StageKind::kFftMagnitude, StageKind::kWedge}},
       CascadeSpec{{StageKind::kFftMagnitude, StageKind::kExactScan}},
+      CascadeSpec{{StageKind::kVecSignature, StageKind::kWedge}},
+      CascadeSpec{{StageKind::kVecSignature, StageKind::kExactScan}},
+      CascadeSpec{{StageKind::kLbImproved, StageKind::kExactScan}},
   };
 }
 
@@ -139,34 +143,47 @@ TEST_F(DeadlineCascadeTest, GenerousDeadlineMatchesUncheckedExactly) {
 /// The core honesty property: sweep deadlines from "hopeless" to
 /// "comfortable". Whatever the race outcome at each point, the result is
 /// either the typed deadline error or the bit-exact answer — a partial
-/// scan must never leak out as a result.
+/// scan must never leak out as a result. Each deadline races a FRESH
+/// engine: an in-memory vec-signature engine builds its signature rows on
+/// its first query, so the token must meet that build too, and an
+/// unchecked query on the same engine afterwards must still be exact.
 TEST_F(DeadlineCascadeTest, RacingDeadlineNeverYieldsAWrongNeighbor) {
+  const auto expect_same = [](const std::vector<Neighbor>& got,
+                              const std::vector<Neighbor>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].index, want[i].index);
+      EXPECT_EQ(got[i].distance, want[i].distance);
+    }
+  };
   for (const CascadeSpec& cascade : AllCascades()) {
-    const QueryEngine engine = Engine(cascade);
-    const ScanResult nn_truth = engine.Search(query_);
-    const std::vector<Neighbor> knn_truth = engine.Knn(query_, 4);
+    const ScanResult nn_truth = Engine(cascade).Search(query_);
+    const std::vector<Neighbor> knn_truth = Engine(cascade).Knn(query_, 4);
     for (const std::int64_t micros : {0, 1, 5, 20, 100, 1000, 5000000}) {
+      const QueryEngine nn_engine = Engine(cascade);
       const CancelToken token =
           CancelToken::WithTimeout(std::chrono::microseconds(micros));
-      const auto nn = engine.SearchChecked(query_, &token);
+      const auto nn = nn_engine.SearchChecked(query_, &token);
       if (nn.ok()) {
         EXPECT_EQ(nn->best_index, nn_truth.best_index);
         EXPECT_EQ(nn->best_distance, nn_truth.best_distance);
       } else {
         EXPECT_EQ(nn.status().code(), StatusCode::kDeadlineExceeded);
       }
+      const ScanResult nn_after = nn_engine.Search(query_);
+      EXPECT_EQ(nn_after.best_index, nn_truth.best_index);
+      EXPECT_EQ(nn_after.best_distance, nn_truth.best_distance);
+
+      const QueryEngine knn_engine = Engine(cascade);
       const CancelToken token2 =
           CancelToken::WithTimeout(std::chrono::microseconds(micros));
-      const auto knn = engine.KnnChecked(query_, 4, nullptr, &token2);
+      const auto knn = knn_engine.KnnChecked(query_, 4, nullptr, &token2);
       if (knn.ok()) {
-        ASSERT_EQ(knn->size(), knn_truth.size());
-        for (std::size_t i = 0; i < knn_truth.size(); ++i) {
-          EXPECT_EQ((*knn)[i].index, knn_truth[i].index);
-          EXPECT_EQ((*knn)[i].distance, knn_truth[i].distance);
-        }
+        expect_same(*knn, knn_truth);
       } else {
         EXPECT_EQ(knn.status().code(), StatusCode::kDeadlineExceeded);
       }
+      expect_same(knn_engine.Knn(query_, 4), knn_truth);
     }
   }
 }

@@ -125,6 +125,97 @@ TEST_P(EngineBatchTest, RangeBatchBitIdentical) {
   }
 }
 
+void ExpectResultsEqual(const ScanResult& a, const ScanResult& b,
+                        const std::string& label) {
+  EXPECT_EQ(a.best_index, b.best_index) << label;
+  EXPECT_EQ(a.best_distance, b.best_distance) << label;
+  EXPECT_EQ(a.best_shift, b.best_shift) << label;
+  EXPECT_EQ(a.best_mirrored, b.best_mirrored) << label;
+  ExpectCountersEqual(a.counter, b.counter, label);
+}
+
+void ExpectNeighborsEqual(const std::vector<Neighbor>& a,
+                          const std::vector<Neighbor>& b,
+                          const std::string& label) {
+  ASSERT_EQ(a.size(), b.size()) << label;
+  for (std::size_t r = 0; r < a.size(); ++r) {
+    EXPECT_EQ(a[r].index, b[r].index) << label << " rank " << r;
+    EXPECT_EQ(a[r].distance, b[r].distance) << label << " rank " << r;
+    EXPECT_EQ(a[r].shift, b[r].shift) << label << " rank " << r;
+    EXPECT_EQ(a[r].mirrored, b[r].mirrored) << label << " rank " << r;
+  }
+}
+
+/// Concurrent first use of the vec-signature rows an in-memory engine
+/// builds on its first kVecSignature query: a fresh engine hit by 4
+/// threads at once must answer exactly as a fresh engine driven by 1
+/// thread, and as the legacy vector<Series> engine, which embeds every
+/// candidate per query. Each batch kind races its own fresh engine.
+/// Per-query counters are compared for 1-NN; the k-NN and range batches
+/// expose only their merge (the per-query sum in query order).
+TEST(EngineBatchVecSignatureTest, ConcurrentFirstUseMatchesOneThread) {
+  const std::vector<Series> items = MakeProjectilePointsDatabase(80, 48, 407);
+  const FlatDataset db = FlatDataset::FromItems(items);
+  EngineOptions options;
+  options.cascade.stages = {StageKind::kVecSignature, StageKind::kWedge};
+  options.vec_sig_dims = db.length() / 2;
+  const std::vector<Series> queries = MakeQueries(db, 24, 408);
+  const QueryEngine embedding(items, options);
+
+  {
+    const QueryEngine four(db, options);
+    const QueryEngine one(db, options);
+    StepCounter merged_four;
+    StepCounter merged_one;
+    const auto got = four.SearchBatch(queries, 4, &merged_four);
+    const auto want = one.SearchBatch(queries, 1, &merged_one);
+    const auto embedded = embedding.SearchBatch(queries, 1);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      const std::string label = "nn query " + std::to_string(q);
+      ExpectResultsEqual(got[q], want[q], label);
+      ExpectResultsEqual(got[q], embedded[q], "embedding " + label);
+    }
+    ExpectCountersEqual(merged_four, merged_one, "nn merged");
+  }
+  {
+    const QueryEngine four(db, options);
+    const QueryEngine one(db, options);
+    StepCounter merged_four;
+    StepCounter merged_one;
+    StepCounter merged_embedded;
+    const auto got = four.KnnSearchBatch(queries, 4, 4, &merged_four);
+    const auto want = one.KnnSearchBatch(queries, 4, 1, &merged_one);
+    const auto embedded =
+        embedding.KnnSearchBatch(queries, 4, 1, &merged_embedded);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      ExpectNeighborsEqual(got[q], want[q], "knn query " + std::to_string(q));
+      ExpectNeighborsEqual(got[q], embedded[q],
+                           "embedding knn query " + std::to_string(q));
+    }
+    ExpectCountersEqual(merged_four, merged_one, "knn merged");
+    ExpectCountersEqual(merged_four, merged_embedded, "embedding knn merged");
+  }
+  {
+    const QueryEngine four(db, options);
+    const QueryEngine one(db, options);
+    StepCounter merged_four;
+    StepCounter merged_one;
+    StepCounter merged_embedded;
+    const double radius = 2.0;
+    const auto got = four.RangeSearchBatch(queries, radius, 4, &merged_four);
+    const auto want = one.RangeSearchBatch(queries, radius, 1, &merged_one);
+    const auto embedded =
+        embedding.RangeSearchBatch(queries, radius, 1, &merged_embedded);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      ExpectNeighborsEqual(got[q], want[q], "range query " + std::to_string(q));
+      ExpectNeighborsEqual(got[q], embedded[q],
+                           "embedding range query " + std::to_string(q));
+    }
+    ExpectCountersEqual(merged_four, merged_one, "range merged");
+    ExpectCountersEqual(merged_four, merged_embedded, "embedding range merged");
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Kinds, EngineBatchTest,
                          ::testing::Values(DistanceKind::kEuclidean,
                                            DistanceKind::kDtw),
