@@ -6,9 +6,10 @@
 /// see DESIGN.md substitutions) — and extends it across storage backends:
 /// every configuration runs once against the paper-parity SimulatedBackend
 /// (in-memory data, counted page touches) and once against a real paged
-/// RIDX file behind a BufferPool (built with BuildIndexFile, opened with
-/// OpenFromFile). Both backends must return bit-identical neighbors; the
-/// bench exits nonzero if they ever disagree.
+/// RIDX file behind a BufferPool (built with BuildIndexFile), both through
+/// QueryEngine's {kSignatureIndex, kWedge} cascade. Both backends must
+/// return bit-identical neighbors; the bench exits nonzero if they ever
+/// disagree.
 ///
 ///   fig24_disk_access [BENCH_storage.json]
 ///
@@ -28,9 +29,11 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "src/core/flat_dataset.h"
 #include "src/datasets/synthetic.h"
-#include "src/index/candidate_scan.h"
 #include "src/index/index_io.h"
+#include "src/obs/metrics.h"
+#include "src/search/engine.h"
 #include "src/storage/backend.h"
 
 namespace rotind::bench {
@@ -80,15 +83,18 @@ struct BackendRun {
   std::vector<double> best_distance;
 };
 
-BackendRun RunQueries(RotationInvariantIndex& index,
+BackendRun RunQueries(const QueryEngine& engine,
                       const std::vector<Series>& queries) {
   BackendRun run;
   const auto t0 = Clock::now();
   for (const Series& q : queries) {
-    const auto r = index.NearestNeighbor(q);
-    run.object_fetches += r.object_fetches;
-    run.page_reads += r.page_reads;
-    run.fetch_fraction_sum += r.fetch_fraction;
+    obs::QueryMetrics metrics;
+    const ScanResult r = engine.Search(q, &metrics);
+    run.object_fetches += metrics.index.object_fetches;
+    run.page_reads += metrics.index.page_reads;
+    run.fetch_fraction_sum +=
+        static_cast<double>(metrics.index.object_fetches) /
+        static_cast<double>(engine.database_size());
     run.best_index.push_back(r.best_index);
     run.best_distance.push_back(r.best_distance);
   }
@@ -153,6 +159,7 @@ int Run(int argc, char** argv) {
     const std::string index_path = out_path + ".ridx";
     Dataset dataset;
     dataset.items = w.db;
+    const FlatDataset flat = FlatDataset::FromItems(w.db);
     for (std::size_t dims : dims_list) {
       // One RIDX file per (workload, D): it carries both signature
       // families, so the Euclidean and DTW file runs share it.
@@ -171,34 +178,39 @@ int Run(int argc, char** argv) {
       std::vector<double> table_fractions;
       for (const DistanceKind kind :
            {DistanceKind::kEuclidean, DistanceKind::kDtw}) {
-        RotationInvariantIndex::Options options;
-        options.dims = dims;
+        EngineOptions options;
         options.kind = kind;
         options.band = w.band;
+        options.index_dims = dims;
+        options.cascade.stages = {StageKind::kSignatureIndex,
+                                  StageKind::kWedge};
 
         StorageRow row;
         row.workload = w.name;
         row.kind = DistanceKindName(kind);
         row.dims = dims;
         row.queries = noisy.size();
-        {
-          RotationInvariantIndex index(w.db, options);
-          row.simulated = RunQueries(index, noisy);
+        EngineOptions sim_options = options;
+        sim_options.storage.backend = storage::BackendKind::kSimulated;
+        EngineOptions file_options = options;
+        file_options.storage.backend = storage::BackendKind::kFile;
+        file_options.storage.index_path = index_path;
+        file_options.storage.pool_pages = kPoolPages;
+        auto simulated = QueryEngine::Open(sim_options, &flat);
+        auto file = QueryEngine::Open(file_options);
+        if (!simulated.ok() || !file.ok()) {
+          std::fprintf(stderr, "index open failed: %s\n",
+                       (simulated.ok() ? file.status() : simulated.status())
+                           .message()
+                           .c_str());
+          return 1;
         }
-        {
-          auto opened = RotationInvariantIndex::OpenFromFile(
-              index_path, options, kPoolPages);
-          if (!opened.ok()) {
-            std::fprintf(stderr, "index open failed: %s\n",
-                         opened.status().message().c_str());
-            return 1;
-          }
-          row.file = RunQueries(**opened, noisy);
-          row.pool = static_cast<const storage::FileBackend&>(
-                         (*opened)->backend())
-                         .pool()
-                         .counters();
-        }
+        row.simulated = RunQueries(**simulated, noisy);
+        row.file = RunQueries(**file, noisy);
+        row.pool =
+            static_cast<const storage::FileBackend*>((*file)->backend())
+                ->pool()
+                .counters();
         row.identical =
             row.simulated.best_index == row.file.best_index &&
             row.simulated.best_distance == row.file.best_distance;

@@ -36,28 +36,17 @@ double EarlyAbandonSquaredEuclidean(const double* q, const double* c,
                                     std::size_t n, double squared_limit,
                                     StepCounter* counter = nullptr);
 
-/// Blocked counterparts: score one query against simd::kBlockLanes
+/// Blocked counterpart: scores one query against simd::kBlockLanes
 /// candidates stored as a 64-byte-aligned SoA tile (FlatDataset::tile).
 /// All lanes are computed, but only the first `valid` lanes are charged to
 /// the counter (tail lanes of a partial tile group are zero padding).
-/// Per-lane results are bit-identical to the per-candidate scalar kernels.
-
+/// Per-lane results are bit-identical to the per-candidate scalar kernel:
 /// out_sq[l] = squared ED of lane l. Charges n steps per valid lane; does
 /// NOT touch full_evals (mirrors SquaredEuclidean, where the rotation
 /// driver attributes the eval).
 void SquaredEuclideanBlock(const double* q, const double* tile, std::size_t n,
                            std::size_t valid, double* out_sq,
                            StepCounter* counter = nullptr);
-
-/// Early-abandoning blocked squared ED with per-lane limits: lane l yields
-/// kAbandoned as soon as its running sum exceeds sq_limits[l], else its
-/// exact squared sum. Charges, per valid lane, one full_eval plus steps for
-/// the points that lane examined, and one early_abandon per abandoned valid
-/// lane — exactly the scalar EarlyAbandonSquaredEuclidean accounting.
-void EarlyAbandonSquaredEuclideanBlock(const double* q, const double* tile,
-                                       std::size_t n, std::size_t valid,
-                                       const double* sq_limits, double* out_sq,
-                                       StepCounter* counter = nullptr);
 
 }  // namespace rotind
 

@@ -1,5 +1,5 @@
-#ifndef ROTIND_INDEX_PAA_H_
-#define ROTIND_INDEX_PAA_H_
+#ifndef ROTIND_ENVELOPE_PAA_H_
+#define ROTIND_ENVELOPE_PAA_H_
 
 #include <cstddef>
 #include <vector>
@@ -51,4 +51,4 @@ double LbPaa(const PaaPoint& c, const PaaEnvelope& env,
 
 }  // namespace rotind
 
-#endif  // ROTIND_INDEX_PAA_H_
+#endif  // ROTIND_ENVELOPE_PAA_H_

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "src/fourier/spectral.h"
-#include "src/index/paa.h"
+#include "src/envelope/paa.h"
 #include "src/storage/index_file.h"
 
 namespace rotind {

@@ -33,8 +33,10 @@ namespace rotind::obs {
 /// (asserted by tests/obs_engine_test.cc over the equivalence corpus).
 
 /// Identity of one attribution bucket along the query path. The first five
-/// mirror the engine's original cascade StageKinds, the next three belong
-/// to the disk-backed RotationInvariantIndex, and the trailing two are the
+/// mirror the engine's original cascade StageKinds, the next three were the
+/// disk index's (the signature visit of kSignatureIndex and storage
+/// fetches still land on the first two; kRefine is no longer written —
+/// refinement lands on the terminal's stage), and the trailing two are the
 /// cascade filter stages added later (appended so the numeric ids of
 /// every earlier stage — and therefore old JSON baselines — are stable).
 enum class StageId {
@@ -43,9 +45,9 @@ enum class StageId {
   kExactScan,          ///< cascade terminal: early-abandoning rotation scan
   kFullScan,           ///< cascade terminal: full evaluation, no abandoning
   kFullScanBanded,     ///< cascade terminal: full evaluation, Sakoe-Chiba band
-  kSignatureFilter,    ///< index: signature-space lower-bound pruning
-  kDiskFetch,          ///< index: object fetches from the simulated disk
-  kRefine,             ///< index: H-Merge refinement of fetched objects
+  kSignatureFilter,    ///< index: the kSignatureIndex visit
+  kDiskFetch,          ///< storage: candidate fetches that do I/O
+  kRefine,             ///< unused; kept so later ids stay stable
   kLbImproved,         ///< cascade: two-pass LB_Improved wedge filter
   kVecSignature,       ///< cascade: pooled rotation-invariant vector filter
 };
@@ -158,8 +160,9 @@ struct WedgeStats {
   WedgeStats& operator+=(const WedgeStats& o);
 };
 
-/// Disk-index accounting (RotationInvariantIndex): what was pruned in
-/// signature space versus fetched and refined (paper Section 5.4 /
+/// Disk-index accounting (StageKind::kSignatureIndex, plus the fetch
+/// totals of every query over a backend that does I/O): what was pruned
+/// in signature space versus fetched and refined (paper Section 5.4 /
 /// Figure 24).
 struct IndexStats {
   /// Signature-space lower-bound evaluations (VP-tree metric calls or

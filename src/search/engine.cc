@@ -8,6 +8,7 @@
 #include <exception>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <thread>
 
@@ -15,6 +16,7 @@
 #include "src/core/sync.h"
 #include "src/distance/euclidean.h"
 #include "src/envelope/lower_bound.h"
+#include "src/envelope/paa.h"
 #include "src/fourier/spectral.h"
 #include "src/search/lcss_search.h"
 #include "src/simd/simd.h"
@@ -30,13 +32,20 @@ static_assert(FlatDataset::kTileLanes == simd::kBlockLanes,
               "SoA tile width must match the simd kernel lane width");
 
 bool IsTerminal(StageKind kind) {
-  return kind != StageKind::kFftMagnitude &&
+  return kind != StageKind::kSignatureIndex &&
+         kind != StageKind::kFftMagnitude &&
          kind != StageKind::kVecSignature && kind != StageKind::kLbImproved;
+}
+
+bool HasStage(const CascadeSpec& cascade, StageKind kind) {
+  return std::find(cascade.stages.begin(), cascade.stages.end(), kind) !=
+         cascade.stages.end();
 }
 
 /// Observability bucket for each cascade stage.
 obs::StageId StageIdFor(StageKind kind) {
   switch (kind) {
+    case StageKind::kSignatureIndex: return obs::StageId::kSignatureFilter;
     case StageKind::kFftMagnitude: return obs::StageId::kFftFilter;
     case StageKind::kVecSignature: return obs::StageId::kVecSignature;
     case StageKind::kLbImproved: return obs::StageId::kLbImproved;
@@ -228,23 +237,21 @@ class TerminalStage {
     (void)counter;
   }
 
-  /// Whether this terminal can score a whole SoA tile group at once under
-  /// the given driver options. Default: per-candidate only.
-  virtual bool SupportsBlocked(const SimdOptions& simd) const {
-    (void)simd;
-    return false;
-  }
+  /// Whether this terminal can score a whole SoA tile group at once.
+  /// Default: per-candidate only.
+  virtual bool SupportsBlocked() const { return false; }
+  /// The wedge tree over the query's rotations, when this terminal builds
+  /// one (kWedge under ED/DTW); the DTW signature index reuses it.
+  virtual const WedgeTree* wedge_tree() const { return nullptr; }
   /// Scores the first `valid` lanes of one tile (FlatDataset::tile).
-  /// out[l].distance must be the lane's exact distance (or kAbandoned for
-  /// an early-abandoned lane) with shift/mirrored resolved; out[l].found is
-  /// left false — the DRIVER resolves it against the live threshold so the
-  /// stats attribution matches the per-candidate path exactly.
+  /// out[l].distance must be the lane's exact distance with shift/mirrored
+  /// resolved; out[l].found is left false — the DRIVER resolves it against
+  /// the live threshold so the stats attribution matches the
+  /// per-candidate path exactly.
   virtual void EvaluateBlock(const double* tile, std::size_t valid,
-                             double threshold, CandidateMatch* out,
-                             StepCounter* counter) {
+                             CandidateMatch* out, StepCounter* counter) {
     (void)tile;
     (void)valid;
-    (void)threshold;
     (void)out;
     (void)counter;
   }
@@ -286,6 +293,8 @@ class WedgeTerminal final : public TerminalStage {
                       StepCounter* counter) override {
     searcher_.AdaptK(trigger, best, counter, wedge_stats_);
   }
+
+  const WedgeTree* wedge_tree() const override { return &searcher_.tree(); }
 
  private:
   obs::WedgeStats* wedge_stats_;
@@ -415,10 +424,8 @@ class ScanTerminal final : public TerminalStage {
     return out;
   }
 
-  bool SupportsBlocked(const SimdOptions& simd) const override {
-    if (kind_ != DistanceKind::kEuclidean) return false;
-    return mode_ == Mode::kEarlyAbandon ? simd.blocked_early_abandon
-                                        : simd.blocked_full_scan;
+  bool SupportsBlocked() const override {
+    return kind_ == DistanceKind::kEuclidean && mode_ != Mode::kEarlyAbandon;
   }
 
   // Blocked ED over one SoA tile, per-lane identical to the scalar
@@ -427,44 +434,29 @@ class ScanTerminal final : public TerminalStage {
   // ties) and takes one sqrt at the end. Vectorizing across candidates
   // instead of within one keeps every lane's accumulation chain in scalar
   // order, so distances — and therefore answers — are bit-identical.
-  void EvaluateBlock(const double* tile, std::size_t valid, double threshold,
+  void EvaluateBlock(const double* tile, std::size_t valid,
                      CandidateMatch* out, StepCounter* counter) override {
     const std::size_t n = rotations_.length();
     double sq_best[simd::kBlockLanes];
     std::size_t best_r[simd::kBlockLanes];
-    bool lane_found[simd::kBlockLanes];
     double out_sq[simd::kBlockLanes];
-    const bool ea = mode_ == Mode::kEarlyAbandon;
-    const double sq_threshold =
-        std::isinf(threshold) ? kInf : threshold * threshold;
     for (std::size_t l = 0; l < simd::kBlockLanes; ++l) {
-      sq_best[l] = ea ? sq_threshold : kInf;
+      sq_best[l] = kInf;
       best_r[l] = 0;
-      lane_found[l] = false;
     }
     for (std::size_t r = 0; r < rotations_.count(); ++r) {
-      const double* rot = rotations_.rotation(r);
-      if (ea) {
-        // Per-lane limits tighten as the lane's own best improves —
-        // exactly EarlyAbandonRotationEuclidean with this tile group's
-        // entry threshold as best-so-far.
-        EarlyAbandonSquaredEuclideanBlock(rot, tile, n, valid, sq_best,
-                                          out_sq, counter);
-      } else {
-        SquaredEuclideanBlock(rot, tile, n, valid, out_sq, counter);
-        if (counter != nullptr) counter->full_evals += valid;
-      }
+      SquaredEuclideanBlock(rotations_.rotation(r), tile, n, valid, out_sq,
+                            counter);
+      if (counter != nullptr) counter->full_evals += valid;
       for (std::size_t l = 0; l < simd::kBlockLanes; ++l) {
         if (out_sq[l] < sq_best[l]) {
           sq_best[l] = out_sq[l];
           best_r[l] = r;
-          lane_found[l] = true;
         }
       }
     }
     for (std::size_t l = 0; l < simd::kBlockLanes; ++l) {
       out[l] = CandidateMatch{};
-      if (ea && !lane_found[l]) continue;  // distance stays kAbandoned/kInf
       out[l].distance = std::sqrt(sq_best[l]);
       out[l].shift = rotations_.shift_of(best_r[l]);
       out[l].mirrored = rotations_.mirrored_of(best_r[l]);
@@ -556,6 +548,7 @@ class QueryCascade {
             terminal_ = std::make_unique<ScanTerminal>(
                 query, options, ScanTerminal::Mode::kFullBanded);
             break;
+          case StageKind::kSignatureIndex:
           case StageKind::kFftMagnitude:
           case StageKind::kVecSignature:
           case StageKind::kLbImproved:
@@ -584,7 +577,7 @@ class QueryCascade {
           break;
         }
         default:
-          break;  // terminals handled above
+          break;  // terminals above; kSignatureIndex orders the visit
       }
     }
     assert(terminal_ != nullptr && "cascade must be normalized");
@@ -627,9 +620,12 @@ class QueryCascade {
 
   /// Whether the whole cascade can score SoA tile groups: no filter stages
   /// (a blocked pass would bypass them) and a terminal that opted in.
-  bool SupportsBlocked(const SimdOptions& simd) const {
-    return filters_.empty() && terminal_->SupportsBlocked(simd);
+  bool SupportsBlocked() const {
+    return filters_.empty() && terminal_->SupportsBlocked();
   }
+
+  /// The terminal's wedge tree, or null (see TerminalStage::wedge_tree).
+  const WedgeTree* wedge_tree() const { return terminal_->wedge_tree(); }
 
   /// Blocked counterpart of Compare for one tile group. Cancellation is
   /// polled once per group (the per-candidate path polls per candidate; a
@@ -637,11 +633,11 @@ class QueryCascade {
   /// step deltas land on the terminal stage here, and the DRIVER calls
   /// RecordTerminalOutcome per lane once it resolves found against the
   /// live threshold — summing to exactly the per-candidate totals.
-  void CompareBlock(const double* tile, std::size_t valid, double threshold,
+  void CompareBlock(const double* tile, std::size_t valid,
                     CandidateMatch* out, StepCounter* counter) {
     if (CheckCancelBoundary()) return;
     StageScope scope(StatsFor(terminal_id_), counter);
-    terminal_->EvaluateBlock(tile, valid, threshold, out, counter);
+    terminal_->EvaluateBlock(tile, valid, out, counter);
   }
 
   /// Candidate-flow bookkeeping for one blocked-scored lane.
@@ -710,19 +706,236 @@ void FoldFetchIo(const storage::FetchStats& io, obs::StageStats* fetch_stats,
   }
 }
 
-/// The one generic driver behind 1-NN, k-NN, and range search. `Fetch`
-/// maps a database index to a storage::SeriesHandle (fetched exactly once
-/// per candidate and held alive across the cascade pass plus the improve
-/// hook); `Collector` supplies the pruning threshold and absorbs accepted
-/// matches:
+/// Visits every candidate but `holdout` in database order: the scan every
+/// cascade without kSignatureIndex runs. Templated into the driver, so the
+/// visit compiles to a plain counting loop.
+class IdOrderCursor {
+ public:
+  IdOrderCursor(std::size_t size, std::size_t holdout)
+      : size_(size), holdout_(holdout) {}
+
+  template <typename Collector>
+  bool Next(const Collector& /*collector*/, std::size_t* id) {
+    if (next_ == holdout_) ++next_;
+    if (next_ >= size_) return false;
+    *id = next_++;
+    return true;
+  }
+
+ private:
+  std::size_t size_;
+  std::size_t holdout_;
+  std::size_t next_ = 0;
+};
+
+/// kSignatureIndex under kEuclidean: the paper's VP-tree walk (Table 7)
+/// over resident FFT-magnitude signatures, reading the collector's
+/// threshold at every step. Its own work — the query's FFT, the metric
+/// evaluations and the leaf sorts — lands on kSignatureFilter; nothing the
+/// driver does between two Next calls is nested inside it.
+class VpTreeCursor {
+ public:
+  VpTreeCursor(const VpTree& tree, const Series& query, std::size_t dims,
+               std::size_t holdout, obs::StageStats* stats,
+               StepCounter* counter)
+      : holdout_(holdout),
+        stats_(stats),
+        counter_(counter),
+        walk_(tree, QuerySignature(query, dims, stats, counter), counter) {}
+
+  template <typename Collector>
+  bool Next(const Collector& collector, std::size_t* id) {
+    const StageScope scope(stats_, counter_);
+    const double threshold = collector.threshold();
+    int next;
+    do {
+      if (!walk_.Next(threshold, &next)) return false;
+    } while (static_cast<std::size_t>(next) == holdout_);
+    *id = static_cast<std::size_t>(next);
+    ++visited_;
+    return true;
+  }
+
+  std::uint64_t visited() const { return visited_; }
+  std::uint64_t signature_evals() const { return walk_.metric_evals(); }
+
+ private:
+  static std::vector<double> QuerySignature(const Series& query,
+                                            std::size_t dims,
+                                            obs::StageStats* stats,
+                                            StepCounter* counter) {
+    const StageScope scope(stats, counter);
+    AddSetupSteps(counter, FftStepCost(query.size()));
+    return MakeSpectralSignature(query, dims).values;
+  }
+
+  std::size_t holdout_;
+  obs::StageStats* stats_;
+  StepCounter* counter_;
+  VpTree::Walk walk_;
+  std::uint64_t visited_ = 0;
+};
+
+/// kSignatureIndex under kDtw: the LB_PAA visit of exact DTW indexing
+/// (Niennattrakul et al.; the paper's refs [16][37]). A candidate's bound is
+/// the min of LB_PAA over the PAA-reduced, band-expanded envelopes of
+/// kIndexWedges wedges of `tree`; all bounds are sorted once at
+/// construction (on kSignatureFilter), and the visit stops at the first
+/// bound >= the collector's threshold.
+class PaaOrderCursor {
+ public:
+  /// Wedges whose PAA envelopes bound each candidate (min over wedges):
+  /// more wedges, a tighter bound for more bound evaluations.
+  static constexpr int kIndexWedges = 64;
+
+  PaaOrderCursor(const std::vector<PaaPoint>& paa, std::size_t dims,
+                 const WedgeTree& tree, std::size_t holdout,
+                 obs::StageStats* stats, StepCounter* counter)
+      : holdout_(holdout) {
+    const StageScope scope(stats, counter);
+    std::vector<PaaEnvelope> envelopes;
+    for (int id : tree.WedgeSetForK(kIndexWedges)) {
+      Envelope env;
+      env.upper.assign(tree.Upper(id), tree.Upper(id) + tree.length());
+      env.lower.assign(tree.Lower(id), tree.Lower(id) + tree.length());
+      envelopes.push_back(PaaReduceEnvelope(env, dims));
+    }
+    order_.reserve(paa.size());
+    for (std::size_t i = 0; i < paa.size(); ++i) {
+      double lb = kInf;
+      for (const PaaEnvelope& env : envelopes) {
+        lb = std::min(lb, LbPaa(paa[i], env, counter));
+      }
+      order_.emplace_back(lb, i);
+    }
+    std::sort(order_.begin(), order_.end());
+    signature_evals_ = paa.size() * envelopes.size();
+  }
+
+  template <typename Collector>
+  bool Next(const Collector& collector, std::size_t* id) {
+    for (; next_ < order_.size(); ++next_) {
+      // Every later bound is at least as large: the visit is over.
+      if (order_[next_].first >= collector.threshold()) return false;
+      if (order_[next_].second == holdout_) continue;
+      *id = order_[next_++].second;
+      ++visited_;
+      return true;
+    }
+    return false;
+  }
+
+  std::uint64_t visited() const { return visited_; }
+  std::uint64_t signature_evals() const { return signature_evals_; }
+
+ private:
+  std::size_t holdout_;
+  std::vector<std::pair<double, std::size_t>> order_;
+  std::size_t next_ = 0;
+  std::uint64_t visited_ = 0;
+  std::uint64_t signature_evals_ = 0;
+};
+
+/// Candidate flow of one signature-index visit: every candidate enters
+/// kSignatureFilter; the ones the cursor visited survive to the fetch and
+/// the rest are pruned without I/O (IndexStats mirrors the same split).
+void RecordIndexVisit(std::uint64_t entered, std::uint64_t visited,
+                      std::uint64_t signature_evals,
+                      obs::QueryMetrics* metrics) {
+  if (metrics == nullptr) return;
+  obs::StageStats& stats = metrics->stage(obs::StageId::kSignatureFilter);
+  stats.candidates_entered += entered;
+  stats.candidates_survived += visited;
+  stats.candidates_pruned += entered - visited;
+  metrics->index.signature_evals += signature_evals;
+  metrics->index.candidates_pruned += entered - visited;
+  metrics->index.refinements += visited;
+}
+
+/// Where kSignatureIndex gets its signatures over `backend`: the resident
+/// RIDX sections of a file, or the series of an in-memory or simulated
+/// backend. dynamic_casts, not kind checks: FaultInjectingBackend forwards
+/// its inner backend_kind(), and neither it nor a sharded SnapshotView has
+/// a signature source, so both visit in id order.
+enum class SignatureSource { kNone, kFile, kSeries };
+
+SignatureSource SignatureSourceOf(const storage::StorageBackend& backend) {
+  if (dynamic_cast<const storage::FileBackend*>(&backend) != nullptr) {
+    return SignatureSource::kFile;
+  }
+  if (dynamic_cast<const storage::InMemoryBackend*>(&backend) != nullptr ||
+      dynamic_cast<const storage::SimulatedBackend*>(&backend) != nullptr) {
+    return SignatureSource::kSeries;
+  }
+  return SignatureSource::kNone;
+}
+
+/// The signature width kSignatureIndex runs at over `backend`: the file's
+/// stored width (both sides of a bound must share it), else
+/// options.index_dims.
+std::size_t SignatureDims(const EngineOptions& options,
+                          const storage::StorageBackend& backend) {
+  const auto* file = dynamic_cast<const storage::FileBackend*>(&backend);
+  if (file == nullptr) return options.index_dims;
+  return options.kind == DistanceKind::kEuclidean ? file->file().sig_dims()
+                                                  : file->file().paa_dims();
+}
+
+/// Why kSignatureIndex cannot run over `backend` under the normalized
+/// `options` — the cases the signature kernels would otherwise clamp or
+/// mis-index on. OK when it can, when the cascade does not ask for it, or
+/// when the backend has no signature source.
+Status CheckSignatureIndex(const EngineOptions& options,
+                           const storage::StorageBackend& backend) {
+  const SignatureSource source = SignatureSourceOf(backend);
+  if (!HasStage(options.cascade, StageKind::kSignatureIndex) ||
+      source == SignatureSource::kNone) {
+    return Status::Ok();
+  }
+  const bool euclidean = options.kind == DistanceKind::kEuclidean;
+  const std::size_t dims = SignatureDims(options, backend);
+  if (source == SignatureSource::kFile && dims == 0) {
+    return Status::InvalidArgument(
+        options.storage.index_path +
+        (euclidean ? " was built without FFT signatures; the Euclidean "
+                     "index needs them (rebuild with --dims > 0)"
+                   : " was built without PAA summaries; the DTW index "
+                     "needs them (rebuild with --paa-dims > 0)"));
+  }
+  if (backend.size() == 0) return Status::InvalidArgument("database is empty");
+  const std::size_t n = backend.length();
+  if (n < 2) {
+    return Status::InvalidArgument("objects must have length >= 2, got " +
+                                   std::to_string(n));
+  }
+  if (dims < 1) return Status::InvalidArgument("signature dims must be >= 1");
+  if (euclidean && dims > n / 2) {
+    return Status::InvalidArgument(
+        "signature dims " + std::to_string(dims) + " exceeds the " +
+        std::to_string(n / 2) + " spectral coefficients of length-" +
+        std::to_string(n) + " objects");
+  }
+  if (!euclidean && dims > n) {
+    return Status::InvalidArgument("PAA dims " + std::to_string(dims) +
+                                   " exceeds the object length " +
+                                   std::to_string(n));
+  }
+  return Status::Ok();
+}
+
+/// The one generic driver behind 1-NN, k-NN, and range search. `Cursor`
+/// picks the visit order (Next(collector, &id) -> false once the visit is
+/// over); `Fetch` maps a database index to a storage::SeriesHandle (fetched
+/// exactly once per candidate and held alive across the cascade pass plus
+/// the improve hook); `Collector` supplies the pruning threshold and
+/// absorbs accepted matches:
 ///   double threshold() const;
 ///   bool Offer(std::size_t index, const CandidateMatch&);  // true -> improved
-template <typename Fetch, typename Collector>
-void RunScan(std::size_t db_size, const Fetch& fetch, std::size_t holdout,
-             QueryCascade& cascade, Collector& collector,
-             StepCounter* counter) {
-  for (std::size_t i = 0; i < db_size; ++i) {
-    if (i == holdout) continue;
+template <typename Cursor, typename Fetch, typename Collector>
+void RunScan(Cursor& cursor, const Fetch& fetch, QueryCascade& cascade,
+             Collector& collector, StepCounter* counter) {
+  std::size_t i;
+  while (cursor.Next(collector, &i)) {
     const storage::SeriesHandle h = fetch(i);
     // An invalid handle means a storage I/O failure; the backend has
     // latched the Status (surfaced by the Checked entry points).
@@ -745,7 +958,7 @@ void RunScan(std::size_t db_size, const Fetch& fetch, std::size_t holdout,
 /// observationally identical) and the cascade opted in. Lane outcomes are
 /// resolved against the LIVE collector threshold in candidate order, so
 /// answers, counters, and per-stage stats match RunScan exactly for the
-/// full-scan terminals (see SimdOptions for the early-abandon caveat).
+/// full-scan ED terminals, the only ones that opt in.
 template <typename Collector>
 void RunBlockedScan(const FlatDataset& flat, std::size_t holdout,
                     QueryCascade& cascade, Collector& collector,
@@ -772,8 +985,7 @@ void RunBlockedScan(const FlatDataset& flat, std::size_t holdout,
       continue;
     }
     CandidateMatch block[kLanes];
-    cascade.CompareBlock(flat.tile(g), valid, collector.threshold(), block,
-                         counter);
+    cascade.CompareBlock(flat.tile(g), valid, block, counter);
     if (cascade.cancelled()) return;
     for (std::size_t l = 0; l < valid; ++l) {
       CandidateMatch m = block[l];
@@ -949,9 +1161,15 @@ CascadeSpec CascadeSpec::ForAlgorithm(ScanAlgorithm algorithm,
 CascadeSpec CascadeSpec::Normalized(DistanceKind kind) const {
   CascadeSpec out;
   out.stages.clear();
+  bool index = false;
   for (StageKind stage : stages) {
     if (!IsTerminal(stage)) {
       switch (stage) {
+        case StageKind::kSignatureIndex:
+          // Orders the visit rather than filtering it: one copy, placed in
+          // front below. Envelope and spectrum bounds do not bound LCSS.
+          index = index || kind != DistanceKind::kLcss;
+          continue;
         case StageKind::kFftMagnitude:
         case StageKind::kVecSignature:
           // Magnitude-spectrum bounds hold for Euclidean distance only.
@@ -974,14 +1192,19 @@ CascadeSpec CascadeSpec::Normalized(DistanceKind kind) const {
     out.stages.push_back(StageKind::kExactScan);
   }
   // A BANDED lower bound does not lower-bound UNCONSTRAINED DTW (the
-  // kFullScan terminal computes band -1): keeping kLbImproved there would
-  // falsely dismiss true matches. kFullScanBanded and the other DTW
-  // terminals warp inside the configured band, where the bound is exact.
+  // kFullScan terminal computes band -1): keeping kLbImproved or the PAA
+  // index there would falsely dismiss true matches. kFullScanBanded and
+  // the other DTW terminals warp inside the configured band, where the
+  // bounds are exact.
   if (kind == DistanceKind::kDtw &&
       out.stages.back() == StageKind::kFullScan) {
     out.stages.erase(std::remove(out.stages.begin(), out.stages.end(),
                                  StageKind::kLbImproved),
                      out.stages.end());
+    index = false;
+  }
+  if (index) {
+    out.stages.insert(out.stages.begin(), StageKind::kSignatureIndex);
   }
   return out;
 }
@@ -1061,6 +1284,7 @@ QueryEngine::QueryEngine(const FlatDataset& db, const EngineOptions& options)
   backend_ = opened.ok() ? *std::move(opened)
                          : std::make_unique<storage::InMemoryBackend>(db);
   InitVecSigSource();
+  InitSignatureIndex();
 }
 
 QueryEngine::QueryEngine(const std::vector<Series>& db,
@@ -1076,6 +1300,7 @@ QueryEngine::QueryEngine(std::unique_ptr<storage::StorageBackend> backend,
   ROTIND_CONTRACT(backend_ != nullptr,
                   "the backend-owning constructor needs a backend");
   InitVecSigSource();
+  InitSignatureIndex();
 }
 
 StatusOr<std::unique_ptr<QueryEngine>> QueryEngine::Open(
@@ -1083,6 +1308,10 @@ StatusOr<std::unique_ptr<QueryEngine>> QueryEngine::Open(
   StatusOr<std::unique_ptr<storage::StorageBackend>> backend =
       storage::OpenBackend(options.storage, in_memory_source);
   if (!backend.ok()) return backend.status();
+  EngineOptions normalized = options;
+  normalized.cascade = options.cascade.Normalized(options.kind);
+  Status index = CheckSignatureIndex(normalized, **backend);
+  if (!index.ok()) return index;
   return std::make_unique<QueryEngine>(*std::move(backend), options);
 }
 
@@ -1122,11 +1351,7 @@ bool QueryEngine::BackendDoesIo() const {
 }
 
 void QueryEngine::InitVecSigSource() {
-  const std::vector<StageKind>& stages = options_.cascade.stages;
-  if (std::find(stages.begin(), stages.end(), StageKind::kVecSignature) ==
-      stages.end()) {
-    return;
-  }
+  if (!HasStage(options_.cascade, StageKind::kVecSignature)) return;
   // dynamic_cast, not a kind check: FaultInjectingBackend forwards the
   // inner backend_kind() but its fetches inject faults; its candidates
   // must be embedded from the fetched bytes, not trusted resident rows.
@@ -1140,6 +1365,56 @@ void QueryEngine::InitVecSigSource() {
   } else if (BlockedSource() != nullptr) {
     vec_sig_cache_ = std::make_unique<VecSigCache>();
   }
+}
+
+void QueryEngine::InitSignatureIndex() {
+  const SignatureSource source = SignatureSourceOf(*backend_);
+  if (!HasStage(options_.cascade, StageKind::kSignatureIndex) ||
+      source == SignatureSource::kNone ||
+      !CheckSignatureIndex(options_, *backend_).ok()) {
+    return;
+  }
+  const bool euclidean = options_.kind == DistanceKind::kEuclidean;
+  auto index = std::make_unique<SignatureIndex>();
+  index->dims = SignatureDims(options_, *backend_);
+  index->count = backend_->size();
+  index->length = backend_->length();
+  const std::size_t count = index->count;
+  std::vector<std::vector<double>> rows(count);
+  if (source == SignatureSource::kFile) {
+    // Computed at build time and resident since open: the index reads no
+    // data pages to get them.
+    const storage::IndexFile& file =
+        static_cast<const storage::FileBackend&>(*backend_).file();
+    const double* stored = euclidean ? file.spectral_signatures().data()
+                                     : file.paa_summaries().data();
+    for (std::size_t i = 0; i < count; ++i) {
+      rows[i].assign(stored + i * index->dims,
+                     stored + (i + 1) * index->dims);
+    }
+  } else {
+    // Peek, not Fetch: building the index is not a query's disk access.
+    const FlatDataset* flat = BlockedSource();
+    const auto* simulated =
+        dynamic_cast<const storage::SimulatedBackend*>(backend_.get());
+    for (std::size_t i = 0; i < count; ++i) {
+      const Series s =
+          flat != nullptr
+              ? Series(flat->data(i), flat->data(i) + index->length)
+              : simulated->disk().Peek(static_cast<int>(i));
+      rows[i] = euclidean ? MakeSpectralSignature(s, index->dims).values
+                          : PaaTransform(s, index->dims).values;
+    }
+  }
+  if (euclidean) {
+    index->vptree = std::make_unique<VpTree>(std::move(rows));
+  } else {
+    index->paa.resize(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      index->paa[i].values = std::move(rows[i]);
+    }
+  }
+  index_ = std::move(index);
 }
 
 QueryEngine::VecSigRows QueryEngine::ResolveVecSigRows(
@@ -1176,6 +1451,103 @@ QueryEngine::VecSigRows QueryEngine::ResolveVecSigRows(
   return {cache.rows.data(), dims, FftStepCost(query_length)};
 }
 
+template <typename Collector>
+void QueryEngine::Scan(const Series& query, std::size_t holdout,
+                       Collector& collector, StepCounter* counter,
+                       obs::QueryMetrics* metrics, const CancelToken* cancel,
+                       ScanOutcome* outcome) const {
+  const QueryLatencyScope latency(metrics);
+  const VecSigRows sig_rows = ResolveVecSigRows(query.size(), metrics);
+  QueryCascade cascade(query, options_, counter, metrics, cancel,
+                       sig_rows.data, sig_rows.dims, sig_rows.steps_per_row);
+  storage::FetchStats fetch_io;
+  obs::StageStats* fetch_stats =
+      metrics != nullptr && BackendDoesIo()
+          ? &metrics->stage(obs::StageId::kDiskFetch)
+          : nullptr;
+  const auto fetch = [&](std::size_t i) {
+    const StageScope scope(fetch_stats, counter);
+    storage::SeriesHandle h = FetchCandidate(i, &fetch_io);
+    if (!h.valid() && outcome != nullptr) outcome->fetch_failed = true;
+    return h;
+  };
+  const FlatDataset* blocked = BlockedSource();
+  if (index_ != nullptr && index_->length == query.size() &&
+      index_->count == database_size()) {
+    obs::StageStats* sig_stats =
+        metrics != nullptr ? &metrics->stage(obs::StageId::kSignatureFilter)
+                           : nullptr;
+    const std::uint64_t entered =
+        database_size() - (holdout < database_size() ? 1 : 0);
+    if (index_->vptree != nullptr) {
+      VpTreeCursor cursor(*index_->vptree, query, index_->dims, holdout,
+                          sig_stats, counter);
+      RunScan(cursor, fetch, cascade, collector, counter);
+      RecordIndexVisit(entered, cursor.visited(), cursor.signature_evals(),
+                       metrics);
+    } else {
+      // The bound needs wedges over the query's rotations: the kWedge
+      // terminal's own tree when there is one, else a tree at the band the
+      // terminal warps in (the full width for unconstrained DTW).
+      std::optional<WedgeTree> own_tree;
+      const WedgeTree* tree = cascade.wedge_tree();
+      if (tree == nullptr) {
+        const StageScope scope(sig_stats, counter);
+        const int band = options_.band < 0
+                             ? static_cast<int>(query.size()) - 1
+                             : std::max(1, options_.band);
+        own_tree.emplace(query, options_.rotation, band,
+                         options_.wedge.linkage, options_.wedge.hierarchy,
+                         counter);
+        tree = &*own_tree;
+      }
+      PaaOrderCursor cursor(index_->paa, index_->dims, *tree, holdout,
+                            sig_stats, counter);
+      RunScan(cursor, fetch, cascade, collector, counter);
+      RecordIndexVisit(entered, cursor.visited(), cursor.signature_evals(),
+                       metrics);
+    }
+  } else if (blocked != nullptr && blocked->length() == query.size() &&
+             cascade.SupportsBlocked()) {
+    RunBlockedScan(*blocked, holdout, cascade, collector, counter);
+  } else {
+    IdOrderCursor cursor(database_size(), holdout);
+    RunScan(cursor, fetch, cascade, collector, counter);
+  }
+  if (BackendDoesIo()) FoldFetchIo(fetch_io, fetch_stats, metrics);
+  if (outcome != nullptr && cascade.cancelled()) {
+    outcome->interrupted = cascade.cancel_status();
+  }
+}
+
+template <typename Collector>
+Status QueryEngine::ScanChecked(const Series& query, Status argument_error,
+                                Collector& collector, StepCounter* counter,
+                                const CancelToken* cancel,
+                                obs::QueryMetrics* metrics) const {
+  Status valid = ValidateQuery(query);
+  if (!valid.ok()) return valid;
+  if (!argument_error.ok()) return argument_error;
+  if (cancel != nullptr) {
+    // An already-fired token must not pay for cascade setup (the wedge
+    // tree build is real work).
+    Status early = cancel->Check();
+    if (!early.ok()) return early;
+  }
+  ScanOutcome outcome;
+  Scan(query, kNoHoldout, collector, counter, metrics, cancel, &outcome);
+  if (!outcome.interrupted.ok()) return outcome.interrupted;
+  // A storage failure mid-scan silently skips candidates in the unchecked
+  // path; here it must invalidate the result. The per-query flag is
+  // authoritative (the shared latch can be cleared by a concurrent
+  // query's error handling); the latch is kept as a fallback detail.
+  Status io = backend_ != nullptr ? backend_->error() : Status::Ok();
+  if (outcome.fetch_failed && io.ok()) {
+    io = Status::IoError("candidate fetch failed during scan");
+  }
+  return io;
+}
+
 ScanResult QueryEngine::Search(const Series& query,
                                obs::QueryMetrics* metrics) const {
   return SearchLeaveOneOut(query, kNoHoldout, metrics);
@@ -1184,63 +1556,22 @@ ScanResult QueryEngine::Search(const Series& query,
 ScanResult QueryEngine::SearchLeaveOneOut(const Series& query,
                                           std::size_t holdout,
                                           obs::QueryMetrics* metrics) const {
-  return SearchImpl(query, holdout, metrics, nullptr, nullptr, nullptr,
-                    nullptr);
+  ScanResult result;
+  result.best_distance = kInf;
+  BestCollector collector(&result);
+  Scan(query, holdout, collector, &result.counter, metrics, nullptr, nullptr);
+  return result;
 }
 
 ScanResult QueryEngine::SearchShared(const Series& query, std::size_t holdout,
                                      SharedBound* shared,
                                      obs::QueryMetrics* metrics) const {
   ROTIND_CONTRACT(shared != nullptr, "SearchShared needs a SharedBound");
-  return SearchImpl(query, holdout, metrics, nullptr, nullptr, nullptr,
-                    shared);
-}
-
-ScanResult QueryEngine::SearchImpl(const Series& query, std::size_t holdout,
-                                   obs::QueryMetrics* metrics,
-                                   const CancelToken* cancel,
-                                   Status* interrupted,
-                                   bool* fetch_failed,
-                                   SharedBound* shared) const {
   ScanResult result;
   result.best_distance = kInf;
-  const QueryLatencyScope latency(metrics);
-  const VecSigRows sig_rows = ResolveVecSigRows(query.size(), metrics);
-  QueryCascade cascade(query, options_, &result.counter, metrics, cancel,
-                       sig_rows.data, sig_rows.dims, sig_rows.steps_per_row);
   BestCollector inner(&result);
-  storage::FetchStats fetch_io;
-  obs::StageStats* fetch_stats =
-      metrics != nullptr && BackendDoesIo()
-          ? &metrics->stage(obs::StageId::kDiskFetch)
-          : nullptr;
-  const FlatDataset* blocked = BlockedSource();
-  const auto drive = [&](auto& collector) {
-    if (blocked != nullptr && blocked->length() == query.size() &&
-        cascade.SupportsBlocked(options_.simd)) {
-      RunBlockedScan(*blocked, holdout, cascade, collector, &result.counter);
-    } else {
-      RunScan(
-          database_size(),
-          [&](std::size_t i) {
-            const StageScope scope(fetch_stats, &result.counter);
-            storage::SeriesHandle h = FetchCandidate(i, &fetch_io);
-            if (!h.valid() && fetch_failed != nullptr) *fetch_failed = true;
-            return h;
-          },
-          holdout, cascade, collector, &result.counter);
-    }
-  };
-  if (shared != nullptr) {
-    SharedBoundCollector<BestCollector> wrapped(inner, shared);
-    drive(wrapped);
-  } else {
-    drive(inner);
-  }
-  if (BackendDoesIo()) FoldFetchIo(fetch_io, fetch_stats, metrics);
-  if (interrupted != nullptr && cascade.cancelled()) {
-    *interrupted = cascade.cancel_status();
-  }
+  SharedBoundCollector<BestCollector> collector(inner, shared);
+  Scan(query, holdout, collector, &result.counter, metrics, nullptr, nullptr);
   return result;
 }
 
@@ -1253,113 +1584,32 @@ std::vector<Neighbor> QueryEngine::Knn(const Series& query, int k,
 std::vector<Neighbor> QueryEngine::KnnLeaveOneOut(
     const Series& query, int k, std::size_t holdout, StepCounter* counter,
     obs::QueryMetrics* metrics) const {
-  return KnnImpl(query, k, holdout, counter, metrics, nullptr, nullptr,
-                 nullptr, nullptr);
+  StepCounter local;
+  KnnCollector collector(k);
+  Scan(query, holdout, collector, counter != nullptr ? counter : &local,
+       metrics, nullptr, nullptr);
+  return collector.Take();
 }
 
 std::vector<Neighbor> QueryEngine::KnnShared(
     const Series& query, int k, std::size_t holdout, SharedBound* shared,
     StepCounter* counter, obs::QueryMetrics* metrics) const {
   ROTIND_CONTRACT(shared != nullptr, "KnnShared needs a SharedBound");
-  return KnnImpl(query, k, holdout, counter, metrics, nullptr, nullptr,
-                 nullptr, shared);
-}
-
-std::vector<Neighbor> QueryEngine::KnnImpl(const Series& query, int k,
-                                           std::size_t holdout,
-                                           StepCounter* counter,
-                                           obs::QueryMetrics* metrics,
-                                           const CancelToken* cancel,
-                                           Status* interrupted,
-                                           bool* fetch_failed,
-                                           SharedBound* shared) const {
   StepCounter local;
-  StepCounter* cnt = counter != nullptr ? counter : &local;
-  const QueryLatencyScope latency(metrics);
-  const VecSigRows sig_rows = ResolveVecSigRows(query.size(), metrics);
-  QueryCascade cascade(query, options_, cnt, metrics, cancel, sig_rows.data,
-                       sig_rows.dims, sig_rows.steps_per_row);
   KnnCollector inner(k);
-  storage::FetchStats fetch_io;
-  obs::StageStats* fetch_stats =
-      metrics != nullptr && BackendDoesIo()
-          ? &metrics->stage(obs::StageId::kDiskFetch)
-          : nullptr;
-  const FlatDataset* blocked = BlockedSource();
-  const auto drive = [&](auto& collector) {
-    if (blocked != nullptr && blocked->length() == query.size() &&
-        cascade.SupportsBlocked(options_.simd)) {
-      RunBlockedScan(*blocked, holdout, cascade, collector, cnt);
-    } else {
-      RunScan(
-          database_size(),
-          [&](std::size_t i) {
-            const StageScope scope(fetch_stats, cnt);
-            storage::SeriesHandle h = FetchCandidate(i, &fetch_io);
-            if (!h.valid() && fetch_failed != nullptr) *fetch_failed = true;
-            return h;
-          },
-          holdout, cascade, collector, cnt);
-    }
-  };
-  if (shared != nullptr) {
-    SharedBoundCollector<KnnCollector> wrapped(inner, shared);
-    drive(wrapped);
-  } else {
-    drive(inner);
-  }
-  if (BackendDoesIo()) FoldFetchIo(fetch_io, fetch_stats, metrics);
-  if (interrupted != nullptr && cascade.cancelled()) {
-    *interrupted = cascade.cancel_status();
-  }
+  SharedBoundCollector<KnnCollector> collector(inner, shared);
+  Scan(query, holdout, collector, counter != nullptr ? counter : &local,
+       metrics, nullptr, nullptr);
   return inner.Take();
 }
 
 std::vector<Neighbor> QueryEngine::Range(const Series& query, double radius,
                                          StepCounter* counter,
                                          obs::QueryMetrics* metrics) const {
-  return RangeImpl(query, radius, counter, metrics, nullptr, nullptr,
-                   nullptr);
-}
-
-std::vector<Neighbor> QueryEngine::RangeImpl(const Series& query,
-                                             double radius,
-                                             StepCounter* counter,
-                                             obs::QueryMetrics* metrics,
-                                             const CancelToken* cancel,
-                                             Status* interrupted,
-                                             bool* fetch_failed) const {
   StepCounter local;
-  StepCounter* cnt = counter != nullptr ? counter : &local;
-  const QueryLatencyScope latency(metrics);
-  const VecSigRows sig_rows = ResolveVecSigRows(query.size(), metrics);
-  QueryCascade cascade(query, options_, cnt, metrics, cancel, sig_rows.data,
-                       sig_rows.dims, sig_rows.steps_per_row);
   RangeCollector collector(radius);
-  storage::FetchStats fetch_io;
-  obs::StageStats* fetch_stats =
-      metrics != nullptr && BackendDoesIo()
-          ? &metrics->stage(obs::StageId::kDiskFetch)
-          : nullptr;
-  const FlatDataset* blocked = BlockedSource();
-  if (blocked != nullptr && blocked->length() == query.size() &&
-      cascade.SupportsBlocked(options_.simd)) {
-    RunBlockedScan(*blocked, kNoHoldout, cascade, collector, cnt);
-  } else {
-    RunScan(
-        database_size(),
-        [&](std::size_t i) {
-          const StageScope scope(fetch_stats, cnt);
-          storage::SeriesHandle h = FetchCandidate(i, &fetch_io);
-          if (!h.valid() && fetch_failed != nullptr) *fetch_failed = true;
-          return h;
-        },
-        kNoHoldout, cascade, collector, cnt);
-  }
-  if (BackendDoesIo()) FoldFetchIo(fetch_io, fetch_stats, metrics);
-  if (interrupted != nullptr && cascade.cancelled()) {
-    *interrupted = cascade.cancel_status();
-  }
+  Scan(query, kNoHoldout, collector, counter != nullptr ? counter : &local,
+       metrics, nullptr, nullptr);
   return collector.Take();
 }
 
@@ -1394,94 +1644,44 @@ Status QueryEngine::ValidateQuery(const Series& query) const {
 StatusOr<ScanResult> QueryEngine::SearchChecked(
     const Series& query, const CancelToken* cancel,
     obs::QueryMetrics* metrics) const {
-  Status valid = ValidateQuery(query);
-  if (!valid.ok()) return valid;
-  if (cancel != nullptr) {
-    // An already-fired token must not pay for cascade setup (the wedge
-    // tree build is real work).
-    Status early = cancel->Check();
-    if (!early.ok()) return early;
-  }
-  Status interrupted;
-  bool fetch_failed = false;
-  ScanResult result = SearchImpl(query, kNoHoldout, metrics, cancel,
-                                 &interrupted, &fetch_failed, nullptr);
-  if (!interrupted.ok()) return interrupted;
-  // A storage failure mid-scan silently skips candidates in the unchecked
-  // path; here it must invalidate the result. The per-query flag is
-  // authoritative (the shared latch can be cleared by a concurrent
-  // query's error handling); the latch is kept as a fallback detail.
-  if (fetch_failed) {
-    Status io = backend_ != nullptr ? backend_->error() : Status::Ok();
-    if (io.ok()) io = Status::IoError("candidate fetch failed during scan");
-    return io;
-  }
-  if (backend_ != nullptr) {
-    Status io = backend_->error();
-    if (!io.ok()) return io;
-  }
+  ScanResult result;
+  result.best_distance = kInf;
+  BestCollector collector(&result);
+  Status s = ScanChecked(query, Status::Ok(), collector, &result.counter,
+                         cancel, metrics);
+  if (!s.ok()) return s;
   return result;
 }
 
 StatusOr<std::vector<Neighbor>> QueryEngine::KnnChecked(
     const Series& query, int k, StepCounter* counter,
     const CancelToken* cancel, obs::QueryMetrics* metrics) const {
-  Status valid = ValidateQuery(query);
-  if (!valid.ok()) return valid;
-  if (k < 1) {
-    return Status::InvalidArgument("k must be >= 1, got " + std::to_string(k));
-  }
-  if (cancel != nullptr) {
-    Status early = cancel->Check();
-    if (!early.ok()) return early;
-  }
-  Status interrupted;
-  bool fetch_failed = false;
-  std::vector<Neighbor> result = KnnImpl(query, k, kNoHoldout, counter,
-                                         metrics, cancel, &interrupted,
-                                         &fetch_failed, nullptr);
-  if (!interrupted.ok()) return interrupted;
-  if (fetch_failed) {
-    Status io = backend_ != nullptr ? backend_->error() : Status::Ok();
-    if (io.ok()) io = Status::IoError("candidate fetch failed during scan");
-    return io;
-  }
-  if (backend_ != nullptr) {
-    Status io = backend_->error();
-    if (!io.ok()) return io;
-  }
-  return result;
+  StepCounter local;
+  KnnCollector collector(k);
+  Status s = ScanChecked(
+      query,
+      k < 1 ? Status::InvalidArgument("k must be >= 1, got " +
+                                      std::to_string(k))
+            : Status::Ok(),
+      collector, counter != nullptr ? counter : &local, cancel, metrics);
+  if (!s.ok()) return s;
+  return collector.Take();
 }
 
 StatusOr<std::vector<Neighbor>> QueryEngine::RangeChecked(
     const Series& query, double radius, StepCounter* counter,
     const CancelToken* cancel, obs::QueryMetrics* metrics) const {
-  Status valid = ValidateQuery(query);
-  if (!valid.ok()) return valid;
-  if (!std::isfinite(radius) || radius < 0.0) {
-    return Status::InvalidArgument("radius must be finite and >= 0, got " +
-                                   std::to_string(radius));
-  }
-  if (cancel != nullptr) {
-    Status early = cancel->Check();
-    if (!early.ok()) return early;
-  }
-  Status interrupted;
-  bool fetch_failed = false;
-  std::vector<Neighbor> result =
-      RangeImpl(query, radius, counter, metrics, cancel, &interrupted,
-                &fetch_failed);
-  if (!interrupted.ok()) return interrupted;
-  if (fetch_failed) {
-    Status io = backend_ != nullptr ? backend_->error() : Status::Ok();
-    if (io.ok()) io = Status::IoError("candidate fetch failed during scan");
-    return io;
-  }
-  if (backend_ != nullptr) {
-    Status io = backend_->error();
-    if (!io.ok()) return io;
-  }
-  return result;
+  StepCounter local;
+  RangeCollector collector(radius);
+  Status s = ScanChecked(
+      query,
+      !std::isfinite(radius) || radius < 0.0
+          ? Status::InvalidArgument("radius must be finite and >= 0, got " +
+                                    std::to_string(radius))
+          : Status::Ok(),
+      collector, counter != nullptr ? counter : &local, cancel, metrics);
+  if (!s.ok()) return s;
+  return collector.Take();
 }
 
 std::vector<ScanResult> QueryEngine::SearchBatch(

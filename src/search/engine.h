@@ -17,9 +17,11 @@
 #include "src/core/sync.h"
 #include "src/distance/measure.h"
 #include "src/distance/rotation.h"
+#include "src/envelope/paa.h"
 #include "src/obs/metrics.h"
 #include "src/search/hmerge.h"
 #include "src/search/scan.h"
+#include "src/search/vptree.h"
 #include "src/storage/backend.h"
 
 namespace rotind {
@@ -33,6 +35,18 @@ namespace rotind {
 /// (Propositions 1-2), any composition returns exactly the same matches as
 /// brute force — only the work differs.
 enum class StageKind {
+  /// Visit order: the paper's disk index (Section 4.2, Table 7). Instead of
+  /// testing each candidate, its lower bound picks which candidates the
+  /// cascade sees, and in what order: a VP-tree walk over resident
+  /// FFT-magnitude signatures for kEuclidean, and ascending LB_PAA against
+  /// PAA-reduced wedge envelopes of the query (Niennattrakul et al.) for
+  /// kDtw. The visit stops once every remaining bound reaches the
+  /// threshold. Signatures come from a file backend's RIDX sections or,
+  /// for the in-memory and simulated backends, are computed at engine
+  /// construction (EngineOptions::index_dims); other backends visit in id
+  /// order with identical answers. Normalization moves it to the front
+  /// and drops it where it drops kLbImproved.
+  kSignatureIndex,
   /// Filter: rotation-invariant FFT-magnitude lower bound (paper Section
   /// 4.2). Sound for kEuclidean only; dropped for other measures.
   kFftMagnitude,
@@ -66,7 +80,9 @@ enum class StageKind {
 /// An ordered pruning pipeline. Invalid compositions are normalized, never
 /// silently misinterpreted: filters that are unsound for the configured
 /// measure are dropped, everything after the first terminal stage is
-/// ignored, and a filter-only cascade gets kExactScan appended.
+/// ignored, a filter-only cascade gets kExactScan appended, and
+/// kSignatureIndex (which orders the visit rather than filtering it) moves
+/// to the front.
 struct CascadeSpec {
   std::vector<StageKind> stages = {StageKind::kWedge};
 
@@ -76,26 +92,6 @@ struct CascadeSpec {
 
   /// Returns the normalized form described above.
   CascadeSpec Normalized(DistanceKind kind) const;
-};
-
-/// Blocked (structure-of-arrays, 8-candidates-at-a-time) scoring knobs for
-/// the cascade terminals, fed by FlatDataset's aligned SoA tiles and the
-/// src/simd/ kernels. Which kernel tier runs (AVX2 vs scalar) is a separate,
-/// process-wide decision (simd::ActiveTier, ROTIND_SIMD) — these flags
-/// choose the DRIVER shape, and every tier/driver combination returns
-/// identical query answers.
-struct SimdOptions {
-  /// Blocked full-scan ED terminals (kFullScan/kFullScanBanded under
-  /// kEuclidean). Observationally identical to the per-candidate path —
-  /// same answers, same step counts, same per-stage attribution — so on by
-  /// default.
-  bool blocked_full_scan = true;
-  /// Blocked early-abandoning ED terminal (kExactScan under kEuclidean).
-  /// Answers are identical, but lanes abandon against the block-entry
-  /// threshold instead of the live one, so step counts can drift from the
-  /// scalar reference. Off by default to keep counter parity (benches,
-  /// step-count tests); opt in where only answers and wall time matter.
-  bool blocked_early_abandon = false;
 };
 
 /// Full engine configuration. Distance kind, band, and rotation options are
@@ -110,13 +106,17 @@ struct EngineOptions {
   RotationOptions rotation;
   WedgePolicy wedge;
   CascadeSpec cascade;
-  SimdOptions simd;
   /// Dimensionality of the kVecSignature filter's pooled embedding when the
   /// backend has no stored RIDX v2 rows (clamped to n/2 per query); also
   /// the width of the rows an in-memory engine builds on first use. A
   /// file backend with a signature section overrides this: the stored
   /// dimensionality is authoritative, since both sides must agree.
   std::size_t vec_sig_dims = 8;
+  /// Signature dimensionality of kSignatureIndex when the engine computes
+  /// the signatures itself: FFT coefficients for kEuclidean (at most n/2),
+  /// PAA segments for kDtw (at most n). A file backend's stored
+  /// dimensionality wins.
+  std::size_t index_dims = 16;
   /// Where candidate series live: in-memory borrow (default), the paper's
   /// simulated-disk accounting, or a paged RIDX index file behind a
   /// BufferPool (file selection requires QueryEngine::Open — the borrowing
@@ -211,12 +211,14 @@ class SharedBound {
 /// vector<Series>) must outlive the engine. All search methods are const
 /// and thread-compatible: concurrent calls on one engine are safe because
 /// per-query state (rotation sets, wedge trees, the query's signatures) is
-/// built per call, the backends are internally synchronized, and the one
-/// piece of shared lazy state — the vec-signature row matrix of an
-/// in-memory engine, built by its first kVecSignature query — is built
-/// once under a mutex and read-only afterwards. That matrix describes the
-/// borrowed FlatDataset as it was at first use, so the dataset must not
-/// grow afterwards. This is what SearchBatch relies on.
+/// built per call, the backends are internally synchronized, the
+/// kSignatureIndex signatures are built at construction and read-only
+/// afterwards, and the one piece of shared lazy state — the vec-signature
+/// row matrix of an in-memory engine, built by its first kVecSignature
+/// query — is built once under a mutex and read-only afterwards. Both
+/// describe the borrowed FlatDataset as it was when they were built, so
+/// the dataset must not grow afterwards. This is what SearchBatch relies
+/// on.
 class QueryEngine {
  public:
   /// Engine over contiguous storage (the fast path). Honors
@@ -242,7 +244,12 @@ class QueryEngine {
   /// This is the only way to get a file-backed engine: opening the index
   /// can fail (kNotFound, kBadMagic, ...) and the Status must reach the
   /// caller. `in_memory_source` feeds the in-memory/simulated kinds and is
-  /// ignored for kFile.
+  /// ignored for kFile. A cascade with kSignatureIndex is also checked
+  /// here (kInvalidArgument): an empty database, objects shorter than 2
+  /// samples, dims < 1, dims beyond the n/2 spectral coefficients
+  /// (kEuclidean) or the n samples (kDtw), and an index file without the
+  /// signature section the measure needs. The borrowing constructors
+  /// visit in id order instead.
   [[nodiscard]] static StatusOr<std::unique_ptr<QueryEngine>> Open(
       const EngineOptions& options,
       const FlatDataset* in_memory_source = nullptr);
@@ -355,34 +362,39 @@ class QueryEngine {
       obs::QueryMetrics* metrics = nullptr) const;
 
  private:
-  /// Scan cores shared by the unchecked entry points (cancel == nullptr)
-  /// and the Checked ones. When `cancel` fires mid-scan its typed Status
-  /// lands in `*interrupted` and the (partial, meaningless) value result
-  /// must be discarded by the caller. `fetch_failed`, when non-null, is
-  /// set if any candidate fetch of THIS query returned an invalid handle
-  /// — a per-query signal, unlike the backend's shared error latch, so
-  /// concurrent queries on one backend cannot mask each other's skipped
-  /// candidates.
-  /// `shared`, when non-null, wires the collector into a cross-partition
-  /// best-so-far exchange (see SharedBound); null reproduces the
-  /// single-engine behavior exactly.
-  ScanResult SearchImpl(const Series& query, std::size_t holdout,
-                        obs::QueryMetrics* metrics, const CancelToken* cancel,
-                        Status* interrupted, bool* fetch_failed,
-                        SharedBound* shared) const;
-  std::vector<Neighbor> KnnImpl(const Series& query, int k,
-                                std::size_t holdout, StepCounter* counter,
-                                obs::QueryMetrics* metrics,
-                                const CancelToken* cancel,
-                                Status* interrupted,
-                                bool* fetch_failed,
-                                SharedBound* shared) const;
-  std::vector<Neighbor> RangeImpl(const Series& query, double radius,
-                                  StepCounter* counter,
-                                  obs::QueryMetrics* metrics,
-                                  const CancelToken* cancel,
-                                  Status* interrupted,
-                                  bool* fetch_failed) const;
+  /// What one scan reports besides its collector's result: the typed
+  /// Status of a cancel token that fired mid-scan (the partial result is
+  /// then meaningless and must be discarded), and whether any candidate
+  /// fetch of THIS query returned an invalid handle — a per-query signal,
+  /// unlike the backend's shared error latch, so concurrent queries on one
+  /// backend cannot mask each other's skipped candidates.
+  struct ScanOutcome {
+    Status interrupted;
+    bool fetch_failed = false;
+  };
+
+  /// The one driver behind every search method: per-query cascade setup,
+  /// the visit — the kSignatureIndex cursor when the engine's signatures
+  /// describe this database at the query's length, SoA tile groups when
+  /// the cascade can score them, id order otherwise — fetch accounting, and
+  /// cancellation polling, feeding `collector` (best-so-far, k-th-best
+  /// heap, radius, or a SharedBound wrapper of one). `holdout` is skipped;
+  /// `outcome` may be null for the unchecked entry points.
+  template <typename Collector>
+  void Scan(const Series& query, std::size_t holdout, Collector& collector,
+            StepCounter* counter, obs::QueryMetrics* metrics,
+            const CancelToken* cancel, ScanOutcome* outcome) const;
+
+  /// Scan behind the Checked entry points: rejects an invalid query, then
+  /// `argument_error` (the caller's own parameter check), then an
+  /// already-fired token before any setup; returns a mid-scan cancel or
+  /// storage failure as its typed Status.
+  template <typename Collector>
+  [[nodiscard]] Status ScanChecked(const Series& query,
+                                   Status argument_error,
+                                   Collector& collector, StepCounter* counter,
+                                   const CancelToken* cancel,
+                                   obs::QueryMetrics* metrics) const;
 
   /// The FlatDataset whose SoA tiles the blocked drivers may scan
   /// directly, or nullptr when candidates must go through per-candidate
@@ -439,11 +451,31 @@ class QueryEngine {
   VecSigRows ResolveVecSigRows(std::size_t query_length,
                                obs::QueryMetrics* metrics) const;
 
+  /// The kSignatureIndex signatures of every candidate, at one width:
+  /// FFT magnitudes in a VP-tree (kEuclidean) or PAA rows (kDtw).
+  struct SignatureIndex {
+    std::size_t dims = 0;
+    /// The database the signatures describe: its size and series length.
+    std::size_t count = 0;
+    std::size_t length = 0;
+    std::unique_ptr<VpTree> vptree;
+    std::vector<PaaPoint> paa;
+  };
+
+  /// Builds index_ once (called by every backend constructor) when the
+  /// normalized cascade contains kSignatureIndex: from a FileBackend's
+  /// RIDX sections, or by embedding the series of an in-memory or
+  /// simulated backend. Other backends, and options Open would reject,
+  /// leave it null — the engine then visits in id order.
+  void InitSignatureIndex();
+
   const std::vector<Series>* vec_ = nullptr;
   std::unique_ptr<storage::StorageBackend> backend_;
   EngineOptions options_;
   VecSigRows stored_vec_sigs_;
   std::unique_ptr<VecSigCache> vec_sig_cache_;
+  /// Read-only after construction, so concurrent queries share it.
+  std::unique_ptr<const SignatureIndex> index_;
 };
 
 }  // namespace rotind

@@ -81,39 +81,6 @@ void EdBlockFullScalar(const double* q, const double* tile, std::size_t n,
   }
 }
 
-void EdBlockEaScalar(const double* q, const double* tile, std::size_t n,
-                     const double* sq_limits, double* out_sq,
-                     std::uint64_t* lane_steps, unsigned* abandoned) {
-  double acc[kBlockLanes];
-  bool active[kBlockLanes];
-  for (std::size_t l = 0; l < kBlockLanes; ++l) {
-    acc[l] = 0.0;
-    active[l] = true;
-  }
-  *abandoned = 0;
-  for (std::size_t t = 0; t < n; ++t) {
-    const double* row = tile + t * kBlockLanes;
-    const double qt = q[t];
-    for (std::size_t l = 0; l < kBlockLanes; ++l) {
-      if (!active[l]) continue;
-      const double d = qt - row[l];
-      acc[l] += d * d;
-      if (acc[l] > sq_limits[l]) {
-        active[l] = false;
-        out_sq[l] = kInf;
-        lane_steps[l] = t + 1;
-        *abandoned |= 1u << l;
-      }
-    }
-  }
-  for (std::size_t l = 0; l < kBlockLanes; ++l) {
-    if (active[l]) {
-      out_sq[l] = acc[l];
-      lane_steps[l] = n;
-    }
-  }
-}
-
 void EnvMergeScalar(double* upper, double* lower, const double* other_upper,
                     const double* other_lower, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -153,9 +120,8 @@ double DtwRowScalar(double qi, const double* c, const double* prev,
 
 const KernelTable& ScalarTable() {
   static const KernelTable table = {
-      &LbKeoghSqScalar,   &LbKeoghProjSqScalar,  &EdBlockFullScalar,
-      &EdBlockEaScalar,   &EnvMergeScalar,       &EnvMergeSeriesScalar,
-      &DtwRowScalar,
+      &LbKeoghSqScalar, &LbKeoghProjSqScalar,  &EdBlockFullScalar,
+      &EnvMergeScalar,  &EnvMergeSeriesScalar, &DtwRowScalar,
   };
   return table;
 }

@@ -76,15 +76,6 @@ struct KernelTable {
   void (*ed_block_full)(const double* q, const double* tile, std::size_t n,
                         double* out_sq);
 
-  /// Early-abandoning squared ED against kBlockLanes SoA-tiled candidates
-  /// with per-lane limits. Lane l abandons — out_sq[l] = +infinity, bit l
-  /// of *abandoned set, lane_steps[l] = abandon index + 1 — as soon as its
-  /// accumulator exceeds sq_limits[l] (checked after every element, like
-  /// the scalar kernel); surviving lanes report the exact sum and n steps.
-  void (*ed_block_ea)(const double* q, const double* tile, std::size_t n,
-                      const double* sq_limits, double* out_sq,
-                      std::uint64_t* lane_steps, unsigned* abandoned);
-
   /// Envelope merge (H-Merge): upper[i] = max(upper[i], other_upper[i]),
   /// lower[i] = min(lower[i], other_lower[i]).
   void (*env_merge)(double* upper, double* lower, const double* other_upper,

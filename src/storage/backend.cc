@@ -45,13 +45,6 @@ int InMemoryBackend::label(std::size_t i) const {
 // --------------------------------------------------------------------------
 // SimulatedBackend
 
-SimulatedBackend::SimulatedBackend(const std::vector<Series>& db,
-                                   std::size_t page_size_bytes)
-    : disk_(page_size_bytes) {
-  disk_.StoreAll(db);
-  length_ = db.empty() ? 0 : db[0].size();
-}
-
 SimulatedBackend::SimulatedBackend(const FlatDataset& flat,
                                    std::size_t page_size_bytes)
     : disk_(page_size_bytes), length_(flat.length()) {

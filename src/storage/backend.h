@@ -19,9 +19,9 @@
 
 namespace rotind::storage {
 
-/// Pluggable candidate-series storage behind the QueryEngine and
-/// RotationInvariantIndex: every refinement fetch goes through one of
-/// these instead of poking a `std::vector<Series>` directly.
+/// Pluggable candidate-series storage behind the QueryEngine: every
+/// candidate fetch goes through one of these instead of poking a
+/// `std::vector<Series>` directly.
 ///
 ///   kInMemory   zero-copy borrow from a FlatDataset — today's behavior,
 ///               no I/O, no accounting beyond the fetch count.
@@ -164,10 +164,10 @@ class InMemoryBackend final : public StorageBackend {
   const FlatDataset* flat_;
 };
 
-/// Wraps SimulatedDisk: real bytes in RAM, paper-parity page accounting.
+/// Wraps SimulatedDisk: real bytes in RAM (copied from `flat`),
+/// paper-parity page accounting.
 class SimulatedBackend final : public StorageBackend {
  public:
-  SimulatedBackend(const std::vector<Series>& db, std::size_t page_size_bytes);
   SimulatedBackend(const FlatDataset& flat, std::size_t page_size_bytes);
 
   BackendKind backend_kind() const override { return BackendKind::kSimulated; }

@@ -72,7 +72,7 @@ TEST(CancelTokenTest, DeadlineWinsOverCancel) {
 /// Every cascade composition the engine supports, exercised below under
 /// deadlines. Filters are per-measure normalized, so the fft and vecsig
 /// entries only differ from their suffix under kEuclidean — which the
-/// fixture uses.
+/// fixture uses (and where kSignatureIndex walks its VP-tree).
 std::vector<CascadeSpec> AllCascades() {
   return {
       CascadeSpec{{StageKind::kWedge}},
@@ -84,6 +84,8 @@ std::vector<CascadeSpec> AllCascades() {
       CascadeSpec{{StageKind::kVecSignature, StageKind::kWedge}},
       CascadeSpec{{StageKind::kVecSignature, StageKind::kExactScan}},
       CascadeSpec{{StageKind::kLbImproved, StageKind::kExactScan}},
+      CascadeSpec{{StageKind::kSignatureIndex, StageKind::kWedge}},
+      CascadeSpec{{StageKind::kSignatureIndex, StageKind::kExactScan}},
   };
 }
 

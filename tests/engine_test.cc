@@ -116,6 +116,43 @@ TEST(CascadeSpecTest, LbImprovedSoundnessRules) {
   EXPECT_EQ(ed_full.stages[0], StageKind::kLbImproved);
 }
 
+/// kSignatureIndex orders the visit instead of filtering: normalization
+/// keeps one copy in front, and drops it exactly where it drops
+/// kLbImproved — under LCSS and ahead of unconstrained DTW.
+TEST(CascadeSpecTest, SignatureIndexMovesToTheFront) {
+  CascadeSpec spec;
+  spec.stages = {StageKind::kLbImproved, StageKind::kSignatureIndex,
+                 StageKind::kSignatureIndex, StageKind::kWedge};
+  for (DistanceKind kind : {DistanceKind::kEuclidean, DistanceKind::kDtw}) {
+    const CascadeSpec out = spec.Normalized(kind);
+    ASSERT_EQ(out.stages.size(), 3u);
+    EXPECT_EQ(out.stages[0], StageKind::kSignatureIndex);
+    EXPECT_EQ(out.stages[1], StageKind::kLbImproved);
+    EXPECT_EQ(out.stages[2], StageKind::kWedge);
+  }
+  const CascadeSpec lcss = spec.Normalized(DistanceKind::kLcss);
+  ASSERT_EQ(lcss.stages.size(), 1u);
+  EXPECT_EQ(lcss.stages[0], StageKind::kWedge);
+
+  CascadeSpec full;
+  full.stages = {StageKind::kSignatureIndex, StageKind::kFullScan};
+  const CascadeSpec dtw_full = full.Normalized(DistanceKind::kDtw);
+  ASSERT_EQ(dtw_full.stages.size(), 1u);
+  EXPECT_EQ(dtw_full.stages[0], StageKind::kFullScan);
+  EXPECT_EQ(full.Normalized(DistanceKind::kEuclidean).stages.size(), 2u);
+
+  // Alone, it still gets the default exact terminal; after the terminal
+  // it is ignored like any other stage.
+  CascadeSpec alone;
+  alone.stages = {StageKind::kSignatureIndex};
+  const CascadeSpec filled = alone.Normalized(DistanceKind::kEuclidean);
+  ASSERT_EQ(filled.stages.size(), 2u);
+  EXPECT_EQ(filled.stages[1], StageKind::kExactScan);
+  CascadeSpec late;
+  late.stages = {StageKind::kWedge, StageKind::kSignatureIndex};
+  EXPECT_EQ(late.Normalized(DistanceKind::kEuclidean).stages.size(), 1u);
+}
+
 TEST(CascadeSpecTest, ForAlgorithmReproducesLegacyCompositions) {
   const auto wedge =
       CascadeSpec::ForAlgorithm(ScanAlgorithm::kWedge, DistanceKind::kDtw);

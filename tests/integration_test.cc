@@ -6,9 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/flat_dataset.h"
 #include "src/core/random.h"
 #include "src/distance/rotation.h"
-#include "src/index/candidate_scan.h"
+#include "src/search/engine.h"
 #include "src/search/scan.h"
 #include "src/shape/generate.h"
 #include "src/shape/profile.h"
@@ -53,16 +54,18 @@ TEST(IntegrationTest, IndexAgreesWithScanOnRasterShapes) {
     ASSERT_FALSE(s.empty());
     db.push_back(s);
   }
-  RotationInvariantIndex::Options opts;
-  opts.dims = 8;
-  RotationInvariantIndex index(db, opts);
+  const FlatDataset flat = FlatDataset::FromItems(db);
+  EngineOptions options;
+  options.index_dims = 8;
+  options.cascade.stages = {StageKind::kSignatureIndex, StageKind::kWedge};
+  const QueryEngine index(flat, options);
 
   for (int trial = 0; trial < 4; ++trial) {
     Series q = RotateLeft(db[rng.NextBounded(db.size())],
                           static_cast<long>(rng.NextBounded(n)));
     for (double& v : q) v += rng.Gaussian(0.0, 0.02);
     ZNormalize(&q);
-    const auto via_index = index.NearestNeighbor(q);
+    const ScanResult via_index = index.Search(q);
     const auto via_scan =
         SearchDatabase(db, q, ScanAlgorithm::kWedge, ScanOptions{});
     EXPECT_EQ(via_index.best_index, via_scan.best_index);

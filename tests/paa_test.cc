@@ -1,4 +1,4 @@
-#include "src/index/paa.h"
+#include "src/envelope/paa.h"
 
 #include <cmath>
 

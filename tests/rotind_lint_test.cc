@@ -83,7 +83,7 @@ TEST(RotindLintTest, AllowsDagEdgesAndSelfIncludes) {
        "#include \"src/core/status.h\"\n"},
       {"src/index/ok.cc", "#include \"src/search/engine.h\"\n"},
       // tools/tests/bench sit above the DAG and may include anything.
-      {"tools/whatever.cc", "#include \"src/index/disk.h\"\n"},
+      {"tools/whatever.cc", "#include \"src/index/index_io.h\"\n"},
   };
   EXPECT_TRUE(CheckLayering(files).empty());
 }
@@ -134,7 +134,7 @@ TEST(RotindLintTest, DetectsStorageIncludingItsConsumers) {
   const std::vector<SourceFile> files = {
       {"src/storage/bad_search.cc", "#include \"src/search/engine.h\"\n"},
       {"src/storage/bad_index.cc",
-       "#include \"src/index/candidate_scan.h\"\n"},
+       "#include \"src/index/index_io.h\"\n"},
       // storage is below obs too: I/O accounting flows up via FetchStats,
       // never by storage reaching into the metrics registry.
       {"src/storage/bad_obs.cc", "#include \"src/obs/metrics.h\"\n"},
@@ -557,7 +557,7 @@ TEST(RotindLintTest, RawFileMutationExemptionsAreScoped) {
 TEST(RotindLintTest, RunAllChecksAggregatesAndSorts) {
   const std::vector<SourceFile> files = {
       {"src/envelope/bad.cc",
-       "#include \"src/index/disk.h\"\n"
+       "#include \"src/index/index_io.h\"\n"
        "double* p = new double[4];\n"},
       {"src/io/bad.h", "Status SaveThing(const std::string& path);\n"},
   };

@@ -1,11 +1,12 @@
 /// Blocked (SoA, 8-candidates-at-a-time) cascade terminals vs the
-/// per-candidate scalar path. The blocked full-scan ED terminal claims to
-/// be OBSERVATIONALLY IDENTICAL — same answers, same step counts, same
-/// per-stage attribution — so this file holds it to == on all three, across
-/// database sizes straddling the 8-lane tile width, holdout positions in
-/// every tile group, mirror invariance, and rotation-limited queries. The
-/// opt-in blocked early-abandon terminal only promises identical answers;
-/// it is checked to exactly that weaker contract.
+/// per-candidate scalar path. An in-memory FlatDataset engine scores
+/// full-scan ED terminals in tile groups; the legacy vector<Series> engine
+/// never does (and records no fetch stage either), so it is the reference.
+/// The blocked terminal claims to be OBSERVATIONALLY IDENTICAL — same
+/// answers, same step counts, same per-stage attribution — so this file
+/// holds it to == on all three, across database sizes straddling the
+/// 8-lane tile width, holdout positions in every tile group, mirror
+/// invariance, and rotation-limited queries.
 
 #include <cstdint>
 #include <memory>
@@ -31,30 +32,25 @@ EngineOptions FullScanOptions(bool mirror, int max_shift) {
   return options;
 }
 
-/// The two engines under comparison: identical except for the blocked
-/// terminal toggle.
+/// The two engines under comparison, over the same rows and options: the
+/// FlatDataset engine (blocked where the cascade allows) and the
+/// vector<Series> engine (always per candidate).
 struct EnginePair {
-  EnginePair(const FlatDataset& flat, EngineOptions options)
-      : blocked_options(options), scalar_options(options) {
-    blocked_options.simd.blocked_full_scan = true;
-    blocked_options.simd.blocked_early_abandon = true;
-    scalar_options.simd.blocked_full_scan = false;
-    scalar_options.simd.blocked_early_abandon = false;
-    blocked = std::make_unique<QueryEngine>(flat, blocked_options);
-    scalar = std::make_unique<QueryEngine>(flat, scalar_options);
-  }
-  EngineOptions blocked_options;
-  EngineOptions scalar_options;
+  EnginePair(const std::vector<Series>& items, const FlatDataset& flat,
+             const EngineOptions& options)
+      : blocked(std::make_unique<QueryEngine>(flat, options)),
+        scalar(std::make_unique<QueryEngine>(items, options)) {}
   std::unique_ptr<QueryEngine> blocked;
   std::unique_ptr<QueryEngine> scalar;
 };
 
 /// Full-scan ED: results AND step accounting must be bit-identical,
 /// including the per-stage attribution the metrics report.
-void ExpectFullScanIdentical(const FlatDataset& flat, const Series& query,
+void ExpectFullScanIdentical(const std::vector<Series>& items,
+                             const FlatDataset& flat, const Series& query,
                              std::size_t holdout, bool mirror, int max_shift,
                              const std::string& label) {
-  EnginePair pair(flat, FullScanOptions(mirror, max_shift));
+  EnginePair pair(items, flat, FullScanOptions(mirror, max_shift));
 
   obs::QueryMetrics blocked_metrics;
   obs::QueryMetrics scalar_metrics;
@@ -126,7 +122,7 @@ TEST(SimdEngineTest, BlockedFullScanIsObservationallyIdentical) {
     for (bool mirror : {false, true}) {
       for (std::size_t qi : {std::size_t{0}, m / 2, m - 1}) {
         ExpectFullScanIdentical(
-            flat, items[qi], qi, mirror, /*max_shift=*/-1,
+            items, flat, items[qi], qi, mirror, /*max_shift=*/-1,
             "m=" + std::to_string(m) + (mirror ? " mirror" : "") + " q" +
                 std::to_string(qi));
       }
@@ -142,48 +138,12 @@ TEST(SimdEngineTest, BlockedFullScanMatchesUnderRotationLimits) {
   const FlatDataset flat = FlatDataset::FromItems(items);
   const Series probe = MakeProjectilePointsDatabase(1, 36, 997)[0];
   for (int max_shift : {0, 3, 9}) {
-    ExpectFullScanIdentical(flat, probe, flat.size(), /*mirror=*/false,
-                            max_shift,
+    ExpectFullScanIdentical(items, flat, probe, flat.size(),
+                            /*mirror=*/false, max_shift,
                             "max_shift=" + std::to_string(max_shift));
-    ExpectFullScanIdentical(flat, items[4], 4, /*mirror=*/true, max_shift,
+    ExpectFullScanIdentical(items, flat, items[4], 4, /*mirror=*/true,
+                            max_shift,
                             "mirror max_shift=" + std::to_string(max_shift));
-  }
-}
-
-/// The opt-in blocked early-abandon terminal: identical ANSWERS (lanes
-/// abandon against the block-entry threshold, so step counts may drift —
-/// that is exactly why it is opt-in and excluded from counter parity).
-TEST(SimdEngineTest, BlockedEarlyAbandonReturnsIdenticalAnswers) {
-  for (std::size_t m : {5u, 16u, 19u}) {
-    const std::vector<Series> items =
-        MakeProjectilePointsDatabase(m, 41, 811 + static_cast<int>(m));
-    const FlatDataset flat = FlatDataset::FromItems(items);
-    EngineOptions options;
-    options.kind = DistanceKind::kEuclidean;
-    options.cascade.stages = {StageKind::kExactScan};
-    for (bool mirror : {false, true}) {
-      options.rotation.mirror = mirror;
-      EnginePair pair(flat, options);
-      for (std::size_t qi : {std::size_t{0}, m - 1}) {
-        const std::string label = "m=" + std::to_string(m) +
-                                  (mirror ? " mirror" : "") + " q" +
-                                  std::to_string(qi);
-        const ScanResult got =
-            pair.blocked->SearchLeaveOneOut(items[qi], qi);
-        const ScanResult ref = pair.scalar->SearchLeaveOneOut(items[qi], qi);
-        EXPECT_EQ(got.best_index, ref.best_index) << label;
-        EXPECT_EQ(got.best_distance, ref.best_distance) << label;
-
-        const auto knn = pair.blocked->KnnLeaveOneOut(items[qi], 3, qi);
-        const auto ref_knn = pair.scalar->KnnLeaveOneOut(items[qi], 3, qi);
-        ASSERT_EQ(knn.size(), ref_knn.size()) << label;
-        for (std::size_t r = 0; r < knn.size(); ++r) {
-          EXPECT_EQ(knn[r].index, ref_knn[r].index) << label << " rank " << r;
-          EXPECT_EQ(knn[r].distance, ref_knn[r].distance)
-              << label << " rank " << r;
-        }
-      }
-    }
   }
 }
 
@@ -196,7 +156,7 @@ TEST(SimdEngineTest, FilteredCascadeFallsBackAndAgrees) {
   EngineOptions options;
   options.kind = DistanceKind::kEuclidean;
   options.cascade.stages = {StageKind::kFftMagnitude, StageKind::kExactScan};
-  EnginePair pair(flat, options);
+  EnginePair pair(items, flat, options);
   for (std::size_t qi : {0u, 8u, 16u}) {
     const ScanResult got = pair.blocked->SearchLeaveOneOut(items[qi], qi);
     const ScanResult ref = pair.scalar->SearchLeaveOneOut(items[qi], qi);
@@ -208,7 +168,8 @@ TEST(SimdEngineTest, FilteredCascadeFallsBackAndAgrees) {
 }
 
 /// DTW terminals never take the blocked path (the blocked kernels are
-/// ED-only); the toggle must be a no-op there.
+/// ED-only): the FlatDataset engine must match the per-candidate engine
+/// step for step.
 TEST(SimdEngineTest, DtwCascadeUnaffectedByBlockedToggle) {
   const std::vector<Series> items = MakeProjectilePointsDatabase(11, 30, 883);
   const FlatDataset flat = FlatDataset::FromItems(items);
@@ -216,7 +177,7 @@ TEST(SimdEngineTest, DtwCascadeUnaffectedByBlockedToggle) {
   options.kind = DistanceKind::kDtw;
   options.band = 4;
   options.cascade.stages = {StageKind::kFullScanBanded};
-  EnginePair pair(flat, options);
+  EnginePair pair(items, flat, options);
   for (std::size_t qi : {0u, 5u}) {
     const ScanResult got = pair.blocked->SearchLeaveOneOut(items[qi], qi);
     const ScanResult ref = pair.scalar->SearchLeaveOneOut(items[qi], qi);

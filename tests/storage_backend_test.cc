@@ -52,7 +52,7 @@ TEST(StorageBackendTest, AllBackendsServeBitIdenticalBytes) {
   const std::string path = WriteIndex(items, "bytes");
 
   const InMemoryBackend memory(flat);
-  const SimulatedBackend simulated(items, 256);
+  const SimulatedBackend simulated(flat, 256);
   auto file = FileBackend::Open(path, 3, EvictionPolicy::kLru);
   ASSERT_TRUE(file.ok()) << file.status().message();
 
@@ -83,7 +83,7 @@ TEST(StorageBackendTest, SimulatedBackendMatchesSimulatedDiskAccounting) {
   // 300 doubles = 2400 bytes: objects tile 4096-byte pages unevenly, so
   // some fetches span one page and others two.
   const std::vector<Series> items = MakeHeterogeneousDatabase(9, 300, 77);
-  const SimulatedBackend backend(items, 4096);
+  const SimulatedBackend backend(FlatDataset::FromItems(items), 4096);
 
   SimulatedDisk disk(4096);
   disk.StoreAll(items);
@@ -110,7 +110,7 @@ TEST(StorageBackendTest, TryFetchIsBoundsCheckedEverywhere) {
   const std::string path = WriteIndex(items, "bounds", 64);
 
   const InMemoryBackend memory(flat);
-  const SimulatedBackend simulated(items, 64);
+  const SimulatedBackend simulated(flat, 64);
   auto file = FileBackend::Open(path, 2, EvictionPolicy::kLru);
   ASSERT_TRUE(file.ok());
   const StorageBackend* backends[] = {&memory, &simulated, file->get()};

@@ -22,7 +22,7 @@
 #include "src/core/status.h"
 #include "src/fourier/spectral.h"
 #include "src/index/index_io.h"
-#include "src/index/paa.h"
+#include "src/envelope/paa.h"
 #include "src/io/bytes.h"
 #include "src/storage/backend.h"
 #include "src/storage/manifest.h"

@@ -5,9 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "src/distance/rotation.h"
-#include "src/index/disk.h"
 #include "src/search/hmerge.h"
 #include "src/search/scan.h"
+#include "src/storage/simulated_disk.h"
 
 namespace rotind {
 namespace {
@@ -179,7 +179,7 @@ TEST(RotationValidationTest, CheckedMatchesUnchecked) {
 // --- SimulatedDisk ---------------------------------------------------------
 
 TEST(DiskValidationTest, TryFetchRejectsInvalidIds) {
-  SimulatedDisk disk;
+  storage::SimulatedDisk disk;
   disk.Store(Series{1.0, 2.0, 3.0});
   for (int id : {-1, 1, 1000}) {
     auto fetched = disk.TryFetch(id);

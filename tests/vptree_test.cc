@@ -1,6 +1,7 @@
-#include "src/index/vptree.h"
+#include "src/search/vptree.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -27,6 +28,36 @@ double L2(const std::vector<double>& a, const std::vector<double>& b) {
   return std::sqrt(acc);
 }
 
+struct NnResult {
+  int best_id = -1;
+  double best_distance = std::numeric_limits<double>::infinity();
+  std::uint64_t metric_evals = 0;
+  std::uint64_t refine_calls = 0;
+};
+
+/// Exact 1-NN driven through a Walk, as the engine drives it: refine every
+/// object the walk yields (`refine(id, threshold)` returns the true
+/// distance, or +inf when it cannot beat the threshold) and hand the
+/// best-so-far back as the next threshold.
+template <typename Refine>
+NnResult NearestNeighbor(const VpTree& tree, const std::vector<double>& query,
+                         const Refine& refine,
+                         StepCounter* counter = nullptr) {
+  NnResult r;
+  VpTree::Walk walk(tree, query, counter);
+  int id;
+  while (walk.Next(r.best_distance, &id)) {
+    ++r.refine_calls;
+    const double d = refine(id, r.best_distance);
+    if (d < r.best_distance) {
+      r.best_distance = d;
+      r.best_id = id;
+    }
+  }
+  r.metric_evals = walk.metric_evals();
+  return r;
+}
+
 TEST(VpTreeTest, ExactNnUnderPureMetric) {
   // refine == the metric itself: the tree must find the true L2 NN.
   Rng rng(1);
@@ -40,7 +71,7 @@ TEST(VpTreeTest, ExactNnUnderPureMetric) {
     const auto refine = [&](int id, double) {
       return L2(pts[static_cast<std::size_t>(id)], q);
     };
-    const VpTree::Result r = tree.NearestNeighbor(q, refine);
+    const NnResult r = NearestNeighbor(tree, q, refine);
 
     int expected = 0;
     double best = L2(pts[0], q);
@@ -78,7 +109,7 @@ TEST(VpTreeTest, ExactNnWhenTrueDistanceExceedsMetric) {
       const double d = true_dist(id);
       return d < threshold ? d : std::numeric_limits<double>::infinity();
     };
-    const VpTree::Result r = tree.NearestNeighbor(q, refine);
+    const NnResult r = NearestNeighbor(tree, q, refine);
 
     double best = std::numeric_limits<double>::infinity();
     int expected = -1;
@@ -105,21 +136,20 @@ TEST(VpTreeTest, PrunesRefineCalls) {
     const double d = L2(pts[static_cast<std::size_t>(id)], q);
     return d < threshold ? d : std::numeric_limits<double>::infinity();
   };
-  const VpTree::Result r = tree.NearestNeighbor(q, refine);
+  const NnResult r = NearestNeighbor(tree, q, refine);
   EXPECT_EQ(r.best_id, 42);
   EXPECT_LT(r.refine_calls, m / 2);
 }
 
 TEST(VpTreeTest, SinglePointAndEmpty) {
   VpTree empty({}, 1);
-  const VpTree::Result none = empty.NearestNeighbor(
-      {}, [](int, double) { return 0.0; });
+  const NnResult none =
+      NearestNeighbor(empty, {}, [](int, double) { return 0.0; });
   EXPECT_EQ(none.best_id, -1);
 
   VpTree one({{1.0, 2.0}}, 1);
-  const VpTree::Result r = one.NearestNeighbor(
-      {1.0, 2.5},
-      [&](int, double) { return 0.5; });
+  const NnResult r =
+      NearestNeighbor(one, {1.0, 2.5}, [](int, double) { return 0.5; });
   EXPECT_EQ(r.best_id, 0);
   EXPECT_DOUBLE_EQ(r.best_distance, 0.5);
 }
@@ -133,7 +163,7 @@ TEST(VpTreeTest, DuplicatePointsHandled) {
     const double d = L2(pts[static_cast<std::size_t>(id)], q);
     return d < threshold ? d : std::numeric_limits<double>::infinity();
   };
-  const VpTree::Result r = tree.NearestNeighbor(q, refine);
+  const NnResult r = NearestNeighbor(tree, q, refine);
   EXPECT_EQ(r.best_id, 13);
 }
 
@@ -143,8 +173,8 @@ TEST(VpTreeTest, CounterChargesMetricEvals) {
   VpTree tree(pts, 5);
   const auto q = RandomPoints(&rng, 1, 8)[0];
   StepCounter counter;
-  const VpTree::Result r = tree.NearestNeighbor(
-      q,
+  const NnResult r = NearestNeighbor(
+      tree, q,
       [&](int id, double) { return L2(pts[static_cast<std::size_t>(id)], q); },
       &counter);
   EXPECT_EQ(counter.steps, r.metric_evals * 8);

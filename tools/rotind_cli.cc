@@ -101,7 +101,6 @@
 #include "src/datasets/synthetic.h"
 #include "src/lightcurve/lightcurve.h"
 #include "src/eval/classify.h"
-#include "src/index/candidate_scan.h"
 #include "src/index/index_io.h"
 #include "src/index/sharded_index.h"
 #include "src/io/serialize.h"
@@ -888,49 +887,60 @@ int CmdIndexSearch(const Args& args) {
     std::fprintf(stderr, "index search --backend file needs --index\n");
     return 2;
   }
-  RotationInvariantIndex::Options opts;
-  opts.dims = args.dtw ? args.paa_dims : args.dims;
-  opts.kind = args.dtw ? DistanceKind::kDtw : DistanceKind::kEuclidean;
-  opts.band = args.band;
-  opts.rotation.mirror = args.mirror;
-  opts.rotation.max_shift = args.max_shift;
-  opts.page_size_bytes = args.page_size;
+  EngineOptions options;
+  options.kind = args.dtw ? DistanceKind::kDtw : DistanceKind::kEuclidean;
+  options.band = args.band;
+  options.rotation.mirror = args.mirror;
+  options.rotation.max_shift = args.max_shift;
+  options.index_dims = args.dtw ? args.paa_dims : args.dims;
+  options.cascade.stages = {StageKind::kSignatureIndex, StageKind::kWedge};
 
   // file: open the paged container; memory/simulated: rebuild from --db
-  // (they share the in-RAM build — simulated adds the paper's page
-  // accounting, memory reports no I/O). All three answer bit-identically.
-  std::unique_ptr<RotationInvariantIndex> index;
-  Dataset db;
+  // (simulated adds the paper's page accounting, memory reports no I/O).
+  // All three answer bit-identically.
+  FlatDataset flat;
   if (args.backend == "file") {
-    const storage::EvictionPolicy eviction =
-        args.eviction == "clock" ? storage::EvictionPolicy::kClock
-                                 : storage::EvictionPolicy::kLru;
-    StatusOr<std::unique_ptr<RotationInvariantIndex>> opened =
-        RotationInvariantIndex::OpenFromFile(args.index_path, opts,
-                                             args.pool_pages, eviction);
-    if (!opened.ok()) {
-      std::fprintf(stderr, "cannot open index %s: %s\n",
-                   args.index_path.c_str(),
-                   opened.status().ToString().c_str());
-      return 2;
-    }
-    index = *std::move(opened);
+    options.storage.backend = storage::BackendKind::kFile;
+    options.storage.index_path = args.index_path;
+    options.storage.pool_pages = args.pool_pages;
+    options.storage.eviction = args.eviction == "clock"
+                                   ? storage::EvictionPolicy::kClock
+                                   : storage::EvictionPolicy::kLru;
   } else {
     if (args.db_path.empty()) {
       std::fprintf(stderr, "index search --backend %s needs --db\n",
                    args.backend.c_str());
       return 2;
     }
+    Dataset db;
     if (!LoadDb(args.db_path, &db)) return 2;
-    StatusOr<std::unique_ptr<RotationInvariantIndex>> built =
-        RotationInvariantIndex::Create(db.items, opts);
-    if (!built.ok()) {
+    StatusOr<FlatDataset> checked = FlatDataset::FromItemsChecked(db.items);
+    if (!checked.ok()) {
       std::fprintf(stderr, "cannot build index from %s: %s\n",
-                   args.db_path.c_str(), built.status().ToString().c_str());
+                   args.db_path.c_str(), checked.status().ToString().c_str());
       return 2;
     }
-    index = *std::move(built);
+    flat = *std::move(checked);
+    options.storage.backend = args.backend == "simulated"
+                                  ? storage::BackendKind::kSimulated
+                                  : storage::BackendKind::kInMemory;
+    options.storage.page_size_bytes = args.page_size;
   }
+  StatusOr<std::unique_ptr<QueryEngine>> opened =
+      QueryEngine::Open(options, &flat);
+  if (!opened.ok()) {
+    if (args.backend == "file") {
+      std::fprintf(stderr, "cannot open index %s: %s\n",
+                   args.index_path.c_str(),
+                   opened.status().ToString().c_str());
+    } else {
+      std::fprintf(stderr, "cannot build index from %s: %s\n",
+                   args.db_path.c_str(), opened.status().ToString().c_str());
+    }
+    return 2;
+  }
+  const QueryEngine& engine = **opened;
+  const storage::StorageBackend& backend = *engine.backend();
 
   // The query comes from --query-db when given (the normal case: querying
   // an index with fresh data), else from the indexed objects themselves
@@ -948,15 +958,14 @@ int CmdIndexSearch(const Args& args) {
     }
     query = std::move(qdb.items[qi]);
   } else {
-    if (qi >= index->size()) {
+    if (qi >= backend.size()) {
       std::fprintf(stderr,
                    "--query-index %d is out of range: index has %zu series\n",
-                   args.query_index, index->size());
+                   args.query_index, backend.size());
       return 2;
     }
     storage::FetchStats io;
-    StatusOr<storage::SeriesHandle> handle =
-        index->backend().TryFetch(qi, &io);
+    StatusOr<storage::SeriesHandle> handle = backend.TryFetch(qi, &io);
     if (!handle.ok()) {
       std::fprintf(stderr, "cannot fetch query %zu: %s\n", qi,
                    handle.status().ToString().c_str());
@@ -964,61 +973,55 @@ int CmdIndexSearch(const Args& args) {
     }
     query.assign(handle->data(), handle->data() + handle->length());
   }
-  if (query.size() != index->backend().length()) {
+  if (query.size() != backend.length()) {
     std::fprintf(stderr, "query has length %zu, indexed objects %zu\n",
-                 query.size(), index->backend().length());
+                 query.size(), backend.length());
     return 2;
   }
 
+  // The io: line reads the query's fetch accounting from its metrics, so
+  // they are always collected; --metrics-json also writes them out.
   obs::MetricsRegistry registry;
+  obs::QueryMetrics local;
   obs::QueryMetrics* metrics =
       args.metrics_json_path.empty()
-          ? nullptr
+          ? &local
           : &registry.Get("index-search/" + args.backend);
-  RotationInvariantIndex::Result r;
-  if (args.k <= 1) {
-    r = index->NearestNeighbor(query, metrics);
-    std::printf("match: rank=0 index=%d distance=%.6f\n", r.best_index,
-                r.best_distance);
-  } else {
-    const std::vector<RotationInvariantIndex::KnnEntry> knn =
-        index->KNearestNeighbors(query, args.k, &r, metrics);
-    for (std::size_t rank = 0; rank < knn.size(); ++rank) {
-      std::printf("match: rank=%zu index=%d distance=%.6f\n", rank,
-                  knn[rank].index, knn[rank].distance);
-    }
+  StatusOr<std::vector<Neighbor>> matches =
+      engine.KnnChecked(query, args.k, nullptr, nullptr, metrics);
+  if (!matches.ok()) {
+    std::fprintf(stderr, "storage error during search: %s\n",
+                 matches.status().ToString().c_str());
+    return 1;
+  }
+  for (std::size_t rank = 0; rank < matches->size(); ++rank) {
+    std::printf("match: rank=%zu index=%d distance=%.6f\n", rank,
+                (*matches)[rank].index, (*matches)[rank].distance);
   }
 
-  // The io: line reports what the USER asked for: "memory" shares the
-  // in-RAM build with "simulated" but promises no I/O accounting, so it
-  // prints none (keeping the match: lines the only backend-independent
-  // output is what the CI roundtrip diff relies on).
-  const storage::StorageBackend& backend = index->backend();
+  // The io: line reports what the USER asked for: "memory" promises no I/O
+  // accounting, so it prints none (keeping the match: lines the only
+  // backend-independent output is what the CI roundtrip diff relies on).
+  const obs::IndexStats& io = metrics->index;
   if (args.backend == "file") {
-    const auto& file_backend =
-        static_cast<const storage::FileBackend&>(backend);
-    const storage::PoolCounters pool = file_backend.pool().counters();
+    const storage::PoolCounters pool =
+        static_cast<const storage::FileBackend&>(backend).pool().counters();
     std::printf("io: backend=%s fetches=%llu pages_read=%llu "
                 "pool_hits=%llu pool_evictions=%llu bytes_read=%llu\n",
                 backend.name(),
-                static_cast<unsigned long long>(r.object_fetches),
-                static_cast<unsigned long long>(r.page_reads),
+                static_cast<unsigned long long>(io.object_fetches),
+                static_cast<unsigned long long>(io.page_reads),
                 static_cast<unsigned long long>(pool.hits),
                 static_cast<unsigned long long>(pool.evictions),
                 static_cast<unsigned long long>(pool.bytes_read));
-    const Status io = file_backend.error();
-    if (!io.ok()) {
-      std::fprintf(stderr, "storage error during search: %s\n",
-                   io.ToString().c_str());
-      return 1;
-    }
   } else if (args.backend == "simulated") {
     std::printf("io: backend=%s fetches=%llu pages_read=%llu "
                 "fetch_fraction=%.4f\n",
                 backend.name(),
-                static_cast<unsigned long long>(r.object_fetches),
-                static_cast<unsigned long long>(r.page_reads),
-                r.fetch_fraction);
+                static_cast<unsigned long long>(io.object_fetches),
+                static_cast<unsigned long long>(io.page_reads),
+                static_cast<double>(io.object_fetches) /
+                    static_cast<double>(backend.size()));
   }
   if (!WriteMetricsIfRequested(args, registry)) return 1;
   return 0;
