@@ -1,7 +1,8 @@
 /// Micro-benchmarks (google-benchmark) of the hot kernels: Euclidean
-/// distance, early abandoning, banded DTW, LB_Keogh, envelopes, FFT,
-/// wedge-tree construction, and the QueryEngine layers (contiguous
-/// rotation views, cascade search, batch fan-out). These measure
+/// distance, early abandoning, banded DTW, LB_Keogh, envelopes, FFT, the
+/// data-page checksums, wedge-tree construction, and the QueryEngine
+/// layers (contiguous rotation views, cascade search, batch fan-out).
+/// These measure
 /// wall-clock of the implementations themselves, complementing the
 /// implementation-free step counts used by the figure benches.
 ///
@@ -23,6 +24,7 @@
 #include "src/envelope/wedge_tree.h"
 #include "src/fourier/fft.h"
 #include "src/fourier/spectral.h"
+#include "src/io/bytes.h"
 #include "src/search/engine.h"
 #include "src/envelope/lower_bound.h"
 
@@ -121,6 +123,23 @@ void BM_SpectralSignature(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SpectralSignature);
+
+/// Verifying one data page: byte-wise FNV-1a (RIDX v1/v2) against the
+/// lane-parallel checksum (RIDX v3), at the default 4 KiB page. Arg 0 is
+/// FNV-1a, arg 1 the lane checksum.
+void BM_PageChecksum(benchmark::State& state) {
+  std::uint64_t (*const checksum)(const void*, std::size_t) =
+      state.range(0) == 0 ? Fnv1a64 : LaneChecksum64;
+  state.SetLabel(state.range(0) == 0 ? "fnv1a64" : "lane_checksum64");
+  const std::size_t bytes = static_cast<std::size_t>(state.range(1));
+  const Series noise = MakeSeries(bytes / sizeof(double), 14);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(checksum(noise.data(), bytes));
+  }
+  state.SetBytesProcessed(static_cast<long>(state.iterations()) *
+                          static_cast<long>(bytes));
+}
+BENCHMARK(BM_PageChecksum)->Args({0, 4096})->Args({1, 4096});
 
 void BM_WedgeTreeBuild(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

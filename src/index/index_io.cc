@@ -11,7 +11,7 @@
 namespace rotind {
 
 Status BuildIndexFile(const Dataset& db, const IndexBuildOptions& options,
-                      const std::string& path) {
+                      const std::string& path, WriteDurability durability) {
   if (db.empty()) {
     return Status::InvalidArgument("cannot build an index of 0 objects");
   }
@@ -72,7 +72,8 @@ Status BuildIndexFile(const Dataset& db, const IndexBuildOptions& options,
                                   ri.values.begin(), ri.values.end());
     }
   }
-  return storage::WriteIndexFile(db, extras, options.page_size_bytes, path);
+  return storage::WriteIndexFile(db, extras, options.page_size_bytes, path,
+                                 durability);
 }
 
 }  // namespace rotind

@@ -6,6 +6,7 @@
 
 #include "src/core/series.h"
 #include "src/core/status.h"
+#include "src/storage/index_file.h"
 
 namespace rotind {
 
@@ -16,12 +17,12 @@ namespace rotind {
 struct IndexBuildOptions {
   std::size_t sig_dims = 16;   ///< FFT magnitude signature dimensionality.
   std::size_t paa_dims = 16;   ///< PAA summary dimensionality.
-  /// Rotation-invariant pooled VecSignature dimensionality (the RIDX v2
+  /// Rotation-invariant pooled VecSignature dimensionality (the RIDX RI
   /// section feeding the engine's vec-signature pre-filter). Unlike
   /// sig_dims this is CLAMPED to n/2 rather than rejected: every row in one
   /// file shares the same length, so a per-file clamp cannot produce the
   /// mixed-dimensionality footgun, and the default keeps working on short
-  /// series. 0 omits the section and the file stays a version-1 container.
+  /// series. 0 omits the section.
   std::size_t ri_dims = 8;
   std::size_t page_size_bytes = 4096;
 };
@@ -35,9 +36,12 @@ struct IndexBuildOptions {
 /// empty or ragged datasets, objects shorter than 2 samples, and sig_dims
 /// beyond the n/2 spectral coefficients that exist all fail with
 /// kInvalidArgument. I/O failures surface the writer's kIoError.
-[[nodiscard]] Status BuildIndexFile(const Dataset& db,
-                                    const IndexBuildOptions& options,
-                                    const std::string& path);
+/// `durability` is the writer's: pass kFsync for a file a manifest is
+/// about to name (see storage::WriteIndexFile).
+[[nodiscard]] Status BuildIndexFile(
+    const Dataset& db, const IndexBuildOptions& options,
+    const std::string& path,
+    WriteDurability durability = WriteDurability::kFlush);
 
 }  // namespace rotind
 

@@ -16,15 +16,6 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::size_t kNoHoldout = std::numeric_limits<std::size_t>::max();
 
-/// Directory prefix of `path` ("." when the path has no separator), so
-/// manifest-relative shard names resolve beside the manifest.
-std::string DirOf(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) return ".";
-  if (slash == 0) return "/";
-  return path.substr(0, slash);
-}
-
 /// Sorted-ascending union of two sorted-ascending tombstone lists
 /// (duplicates collapse — a row deleted both in the manifest and in the
 /// delta is dead once).
@@ -567,7 +558,11 @@ StatusOr<std::uint64_t> ShardedIndex::Compact(const IndexBuildOptions& build,
     const std::string shard_file =
         "shard-g" + std::to_string(next.generation) + ".ridx";
     const std::string shard_path = dir_ + "/" + shard_file;
-    Status built = BuildIndexFile(db, build, shard_path);
+    // kFsync: the shard's pages and its directory entry are on stable
+    // storage before the manifest below names it, so a power cut cannot
+    // leave a published manifest pointing at a shard that never landed.
+    Status built =
+        BuildIndexFile(db, build, shard_path, WriteDurability::kFsync);
     if (built.ok()) {
       StatusOr<std::unique_ptr<storage::FileBackend>> backend =
           storage::FileBackend::Open(shard_path, options_.pool_pages,

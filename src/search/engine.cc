@@ -1584,6 +1584,7 @@ std::vector<Neighbor> QueryEngine::Knn(const Series& query, int k,
 std::vector<Neighbor> QueryEngine::KnnLeaveOneOut(
     const Series& query, int k, std::size_t holdout, StepCounter* counter,
     obs::QueryMetrics* metrics) const {
+  if (k < 1) return {};  // KnnCollector needs k >= 1; KnnChecked rejects
   StepCounter local;
   KnnCollector collector(k);
   Scan(query, holdout, collector, counter != nullptr ? counter : &local,
@@ -1595,6 +1596,7 @@ std::vector<Neighbor> QueryEngine::KnnShared(
     const Series& query, int k, std::size_t holdout, SharedBound* shared,
     StepCounter* counter, obs::QueryMetrics* metrics) const {
   ROTIND_CONTRACT(shared != nullptr, "KnnShared needs a SharedBound");
+  if (k < 1) return {};
   StepCounter local;
   KnnCollector inner(k);
   SharedBoundCollector<KnnCollector> collector(inner, shared);

@@ -278,7 +278,9 @@ class QueryEngine {
   ScanResult SearchLeaveOneOut(const Series& query, std::size_t holdout,
                                obs::QueryMetrics* metrics = nullptr) const;
 
-  /// k-NN, ascending by distance; the k-th best distance prunes.
+  /// k-NN, ascending by distance; the k-th best distance prunes. k < 1
+  /// returns an empty result without scanning (as do KnnLeaveOneOut,
+  /// KnnShared and KnnSearchBatch); KnnChecked rejects it instead.
   std::vector<Neighbor> Knn(const Series& query, int k,
                             StepCounter* counter = nullptr,
                             obs::QueryMetrics* metrics = nullptr) const;

@@ -79,7 +79,7 @@ struct Neighbor {
 
 /// k-nearest-neighbor scan (ascending by distance). Supported for
 /// kBruteForce, kEarlyAbandon, and kWedge; the k-th best distance plays the
-/// pruning role best-so-far plays in 1-NN.
+/// pruning role best-so-far plays in 1-NN. k < 1 returns an empty result.
 std::vector<Neighbor> KnnSearchDatabase(const std::vector<Series>& db,
                                         const Series& query, int k,
                                         ScanAlgorithm algorithm,

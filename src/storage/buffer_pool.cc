@@ -108,7 +108,8 @@ StatusOr<BufferPool::Pinned> BufferPool::Pin(std::size_t page,
     ++counters_.evictions;
     if (outcome != nullptr) outcome->evicted = true;
   }
-  // The source read happens under the pool mutex: correctness first.
+  // The source read (and its page verification) happens under the pool
+  // mutex: correctness first; see the class comment for its cost.
   // ReadPage failure leaves the frame free (unoccupied, unpinned, and not
   // in page_to_frame_), so a transient I/O error does not poison the pool:
   // the Status propagates to the caller and the very next Pin of the same

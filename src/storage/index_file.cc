@@ -6,10 +6,10 @@
 #include <cerrno>
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
+#include "src/core/contracts.h"
 #include "src/io/bytes.h"
 
 namespace rotind::storage {
@@ -25,13 +25,14 @@ std::uint64_t AlignUp(std::uint64_t value, std::uint64_t alignment) {
 /// loader: a malicious 64-byte file cannot request a multi-GB resize).
 struct HeaderInfo {
   std::uint32_t version = 0;
+  IndexChecksumFn checksum = nullptr;  ///< The version's checksum function.
   std::uint64_t page_size = 0;
   std::uint64_t count = 0;
   std::uint64_t length = 0;
   std::uint64_t sig_dims = 0;
   std::uint64_t paa_dims = 0;
-  std::uint64_t ri_dims = 0;      ///< v2 extension header; 0 for v1 files.
-  std::uint64_t header_bytes = 0; ///< 64 for v1, 128 for v2.
+  std::uint64_t ri_dims = 0;      ///< Extension header; 0 for v1 files.
+  std::uint64_t header_bytes = 0; ///< 64 for v1, 128 for v2 and v3.
   std::uint64_t flags = 0;
   std::uint64_t data_bytes = 0;
   std::uint64_t data_pages = 0;
@@ -53,7 +54,7 @@ StatusOr<HeaderInfo> ParseHeader(const char* data, std::size_t size,
   if (!reader.Read(&version)) {
     return Status(StatusCode::kTruncated, "file ends inside the version field");
   }
-  if (version != kIndexVersionV1 && version != kIndexVersion) {
+  if (version < kIndexVersionV1 || version > kIndexVersion) {
     return Status(StatusCode::kVersionMismatch,
                   "index version " + std::to_string(version) +
                       "; this build reads versions " +
@@ -62,6 +63,7 @@ StatusOr<HeaderInfo> ParseHeader(const char* data, std::size_t size,
   }
   HeaderInfo info;
   info.version = version;
+  info.checksum = IndexChecksumFor(version);
   std::uint64_t stored_checksum = 0;
   if (!reader.Read(&info.page_size) || !reader.Read(&info.count) ||
       !reader.Read(&info.length) || !reader.Read(&info.sig_dims) ||
@@ -69,15 +71,16 @@ StatusOr<HeaderInfo> ParseHeader(const char* data, std::size_t size,
       !reader.Read(&stored_checksum)) {
     return Status(StatusCode::kTruncated, "file ends inside the header");
   }
-  if (Fnv1a64(data, kIndexHeaderBytes - sizeof(std::uint64_t)) !=
+  if (info.checksum(data, kIndexHeaderBytes - sizeof(std::uint64_t)) !=
       stored_checksum) {
     return Status(StatusCode::kCorruptHeader, "header checksum mismatch");
   }
   info.header_bytes = kIndexHeaderBytes;
-  if (version >= 2) {
-    // Version 2 carries a fixed-size extension header directly after the
-    // base header. Its reserved bytes must be zero so a future version can
-    // assign them meaning without v2 readers silently accepting the result.
+  if (version >= kIndexVersionV2) {
+    // Versions 2 and 3 carry a fixed-size extension header directly after
+    // the base header. Its reserved bytes must be zero so a future version
+    // can assign them meaning without today's readers silently accepting
+    // the result.
     info.header_bytes += kIndexExtHeaderBytes;
     std::uint64_t reserved[6] = {};
     std::uint64_t ext_checksum = 0;
@@ -87,8 +90,8 @@ StatusOr<HeaderInfo> ParseHeader(const char* data, std::size_t size,
       return Status(StatusCode::kTruncated,
                     "file ends inside the v2 extension header");
     }
-    if (Fnv1a64(data + kIndexHeaderBytes,
-                kIndexExtHeaderBytes - sizeof(std::uint64_t)) !=
+    if (info.checksum(data + kIndexHeaderBytes,
+                      kIndexExtHeaderBytes - sizeof(std::uint64_t)) !=
         ext_checksum) {
       return Status(StatusCode::kCorruptHeader,
                     "extension header checksum mismatch");
@@ -183,13 +186,14 @@ StatusOr<HeaderInfo> ParseHeader(const char* data, std::size_t size,
   return info;
 }
 
-/// Verifies the stored FNV-1a of `[start, start+bytes)` within `image`.
+/// Verifies the stored checksum of `[start, start+bytes)` within `image`.
 /// The reader must be positioned at the checksum field.
-bool SectionChecksumOk(const std::string& image, std::size_t start,
-                       std::size_t bytes, BufferReader& reader) {
+bool SectionChecksumOk(IndexChecksumFn checksum, const std::string& image,
+                       std::size_t start, std::size_t bytes,
+                       BufferReader& reader) {
   std::uint64_t stored = 0;
   if (!reader.Read(&stored)) return false;
-  return Fnv1a64(image.data() + start, bytes) == stored;
+  return checksum(image.data() + start, bytes) == stored;
 }
 
 Status CorruptSection(const std::string& name) {
@@ -198,8 +202,13 @@ Status CorruptSection(const std::string& name) {
 
 }  // namespace
 
+IndexChecksumFn IndexChecksumFor(std::uint32_t version) {
+  return version <= kIndexVersionV2 ? Fnv1a64 : LaneChecksum64;
+}
+
 Status WriteIndexFile(const Dataset& db, const IndexBuildData& extras,
-                      std::size_t page_size_bytes, const std::string& path) {
+                      std::size_t page_size_bytes, const std::string& path,
+                      WriteDurability durability) {
   const std::size_t count = db.size();
   const std::size_t length = db.length();
   if (count == 0 || length == 0) {
@@ -259,95 +268,97 @@ Status WriteIndexFile(const Dataset& db, const IndexBuildData& extras,
       static_cast<std::uint64_t>(count) * length * sizeof(double);
   const std::uint64_t data_pages =
       (data_bytes + page_size_bytes - 1) / page_size_bytes;
-
-  // Materialize the padded data section to checksum its pages.
-  std::string data(static_cast<std::size_t>(data_pages * page_size_bytes),
-                   '\0');
-  for (std::size_t i = 0; i < count; ++i) {
-    std::memcpy(data.data() + i * length * sizeof(double), db.items[i].data(),
-                length * sizeof(double));
-  }
-  std::vector<std::uint64_t> page_checksums(
-      static_cast<std::size_t>(data_pages));
-  for (std::size_t p = 0; p < page_checksums.size(); ++p) {
-    page_checksums[p] =
-        Fnv1a64(data.data() + p * page_size_bytes, page_size_bytes);
-  }
-
-  // Emit the OLDEST version that can represent the payload: v1 (and a
-  // byte-identical file to pre-v2 builds) unless the RI section is present.
   const bool has_ri = extras.ri_dims > 0;
-  const std::uint32_t version = has_ri ? kIndexVersion : kIndexVersionV1;
-  std::ostringstream header_buf;
-  header_buf.write(kIndexMagic, sizeof(kIndexMagic));
-  WritePod(header_buf, version);
-  WritePod(header_buf, static_cast<std::uint64_t>(page_size_bytes));
-  WritePod(header_buf, static_cast<std::uint64_t>(count));
-  WritePod(header_buf, static_cast<std::uint64_t>(length));
-  WritePod(header_buf, static_cast<std::uint64_t>(extras.sig_dims));
-  WritePod(header_buf, static_cast<std::uint64_t>(extras.paa_dims));
+  const IndexChecksumFn checksum = IndexChecksumFor(kIndexVersion);
+
+  // The whole image is laid out in one buffer: every section size is known
+  // up front, and the page checksum table is filled in once the data
+  // section behind it is in place.
+  constexpr std::uint64_t kSum = sizeof(std::uint64_t);
+  std::uint64_t resident = kIndexHeaderBytes + kIndexExtHeaderBytes;
+  resident += count * 16 + kSum;
+  resident += data_pages * 8 + kSum;
+  resident += extras.signatures.size() * sizeof(double) + kSum;
+  resident += extras.paa.size() * sizeof(double) + kSum;
+  if (has_ri) resident += extras.ri_signatures.size() * sizeof(double) + kSum;
+  if (!extras.labels.empty()) resident += count * sizeof(std::int32_t) + kSum;
+  const std::uint64_t data_offset = AlignUp(resident, page_size_bytes);
+  std::string image;
+  image.reserve(
+      static_cast<std::size_t>(data_offset + data_pages * page_size_bytes));
+
+  // Appends `n` bytes and then their checksum: every checksummed block of
+  // the resident region (both headers and each section) has this shape.
+  const auto append_checksummed = [&](const void* bytes, std::size_t n) {
+    const std::size_t start = image.size();
+    image.append(static_cast<const char*>(bytes), n);
+    const std::uint64_t sum = checksum(image.data() + start, n);
+    image.append(reinterpret_cast<const char*>(&sum), sizeof sum);
+  };
+
   std::uint64_t flags = extras.labels.empty() ? 0 : kIndexFlagHasLabels;
   if (has_ri) flags |= kIndexFlagHasRiSig;
-  WritePod(header_buf, flags);
-  const std::string header = std::move(header_buf).str();
-
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  out.write(header.data(), static_cast<std::streamsize>(header.size()));
-  const std::uint64_t header_checksum = Fnv1a64(header.data(), header.size());
-  WritePod(out, header_checksum);
-  std::uint64_t written = kIndexHeaderBytes;
-  if (has_ri) {
-    std::ostringstream ext_buf;
-    WritePod(ext_buf, static_cast<std::uint64_t>(extras.ri_dims));
-    const std::string reserved(48, '\0');
-    ext_buf.write(reserved.data(),
-                  static_cast<std::streamsize>(reserved.size()));
-    const std::string ext = std::move(ext_buf).str();
-    out.write(ext.data(), static_cast<std::streamsize>(ext.size()));
-    WritePod(out, Fnv1a64(ext.data(), ext.size()));
-    written += kIndexExtHeaderBytes;
-  }
-
-  // Each resident section is written, then its checksum. WriteSection
-  // returns the byte count so the caller tracks the padding target.
-  const auto write_section = [&](const void* bytes, std::size_t n) {
-    if (n != 0) {
-      out.write(static_cast<const char*>(bytes),
-                static_cast<std::streamsize>(n));
-    }
-    WritePod(out, Fnv1a64(bytes, n));
-    written += n + sizeof(std::uint64_t);
-  };
+  std::ostringstream header;
+  header.write(kIndexMagic, sizeof(kIndexMagic));
+  WritePod(header, kIndexVersion);
+  WritePod(header, static_cast<std::uint64_t>(page_size_bytes));
+  WritePod(header, static_cast<std::uint64_t>(count));
+  WritePod(header, static_cast<std::uint64_t>(length));
+  WritePod(header, static_cast<std::uint64_t>(extras.sig_dims));
+  WritePod(header, static_cast<std::uint64_t>(extras.paa_dims));
+  WritePod(header, flags);
+  const std::string base = std::move(header).str();
+  append_checksummed(base.data(), base.size());
+  std::uint64_t ext[7] = {static_cast<std::uint64_t>(extras.ri_dims)};
+  append_checksummed(ext, sizeof ext);  // ri_dims, then 48 reserved zeros
 
   std::vector<std::uint64_t> catalog(count * 2);
   for (std::size_t i = 0; i < count; ++i) {
     catalog[2 * i] = static_cast<std::uint64_t>(i) * length * sizeof(double);
     catalog[2 * i + 1] = length * sizeof(double);
   }
-  write_section(catalog.data(), catalog.size() * sizeof(std::uint64_t));
-  write_section(page_checksums.data(),
-                page_checksums.size() * sizeof(std::uint64_t));
-  write_section(extras.signatures.data(),
-                extras.signatures.size() * sizeof(double));
-  write_section(extras.paa.data(), extras.paa.size() * sizeof(double));
+  append_checksummed(catalog.data(), catalog.size() * sizeof(std::uint64_t));
+  const std::size_t page_table = image.size();  // filled in below
+  image.append(static_cast<std::size_t>(data_pages * 8 + kSum), '\0');
+  append_checksummed(extras.signatures.data(),
+                     extras.signatures.size() * sizeof(double));
+  append_checksummed(extras.paa.data(), extras.paa.size() * sizeof(double));
   if (has_ri) {
-    write_section(extras.ri_signatures.data(),
-                  extras.ri_signatures.size() * sizeof(double));
+    append_checksummed(extras.ri_signatures.data(),
+                       extras.ri_signatures.size() * sizeof(double));
   }
   if (!extras.labels.empty()) {
     std::vector<std::int32_t> labels32(extras.labels.begin(),
                                        extras.labels.end());
-    write_section(labels32.data(), labels32.size() * sizeof(std::int32_t));
+    append_checksummed(labels32.data(),
+                       labels32.size() * sizeof(std::int32_t));
   }
+  ROTIND_DCHECK(image.size() == resident);
 
-  const std::uint64_t data_offset = AlignUp(written, page_size_bytes);
-  const std::string padding(static_cast<std::size_t>(data_offset - written),
-                            '\0');
-  out.write(padding.data(), static_cast<std::streamsize>(padding.size()));
-  out.write(data.data(), static_cast<std::streamsize>(data.size()));
-  if (!out) return Status::IoError("write failed on " + path);
-  return Status::Ok();
+  // Zero padding, then the data section, zero-padded to whole pages.
+  image.resize(
+      static_cast<std::size_t>(data_offset + data_pages * page_size_bytes),
+      '\0');
+  char* data = image.data() + data_offset;
+  for (std::size_t i = 0; i < count; ++i) {
+    std::memcpy(data + i * length * sizeof(double), db.items[i].data(),
+                length * sizeof(double));
+  }
+  const std::size_t table_bytes = static_cast<std::size_t>(data_pages * 8);
+  for (std::size_t p = 0; p < data_pages; ++p) {
+    const std::uint64_t sum =
+        checksum(data + p * page_size_bytes, page_size_bytes);
+    std::memcpy(image.data() + page_table + p * 8, &sum, sizeof sum);
+  }
+  const std::uint64_t table_sum =
+      checksum(image.data() + page_table, table_bytes);
+  std::memcpy(image.data() + page_table + table_bytes, &table_sum,
+              sizeof table_sum);
+
+  Status wrote = WriteStringToFile(path, image, durability);
+  if (!wrote.ok() || durability != WriteDurability::kFsync) return wrote;
+  // A new file survives a power cut only once its directory entry does.
+  return SyncDirectory(DirOf(path));
 }
 
 StatusOr<std::unique_ptr<IndexFile>> IndexFile::ParseResident(
@@ -369,9 +380,10 @@ StatusOr<std::unique_ptr<IndexFile>> IndexFile::ParseResident(
   file->data_offset_ = info.data_offset;
   file->sig_dims_ = static_cast<std::size_t>(info.sig_dims);
   file->paa_dims_ = static_cast<std::size_t>(info.paa_dims);
+  file->checksum_ = info.checksum;
 
   BufferReader reader(resident.data(), resident.size());
-  // Header (and, for v2, extension header) already verified.
+  // Header (and, from v2 on, extension header) already verified.
   (void)reader.Skip(static_cast<std::size_t>(info.header_bytes));
 
   std::size_t start = reader.position();
@@ -382,7 +394,7 @@ StatusOr<std::unique_ptr<IndexFile>> IndexFile::ParseResident(
     (void)reader.Read(&e.offset);  // resident_end check proved these fit
     (void)reader.Read(&e.bytes);
   }
-  if (!SectionChecksumOk(resident, start, file->count_ * 16, reader)) {
+  if (!SectionChecksumOk(info.checksum, resident, start, file->count_ * 16, reader)) {
     return CorruptSection("catalog");
   }
   for (std::size_t i = 0; i < file->count_; ++i) {
@@ -398,7 +410,7 @@ StatusOr<std::unique_ptr<IndexFile>> IndexFile::ParseResident(
   start = reader.position();
   file->page_checksums_.resize(file->data_pages_);
   for (std::uint64_t& sum : file->page_checksums_) (void)reader.Read(&sum);
-  if (!SectionChecksumOk(resident, start, file->data_pages_ * 8, reader)) {
+  if (!SectionChecksumOk(info.checksum, resident, start, file->data_pages_ * 8, reader)) {
     return CorruptSection("page checksum table");
   }
 
@@ -406,8 +418,8 @@ StatusOr<std::unique_ptr<IndexFile>> IndexFile::ParseResident(
   file->sigs_.resize(file->count_ * file->sig_dims_);
   (void)reader.ReadBytes(file->sigs_.data(),
                          file->sigs_.size() * sizeof(double));
-  if (!SectionChecksumOk(resident, start, file->sigs_.size() * sizeof(double),
-                         reader)) {
+  if (!SectionChecksumOk(info.checksum, resident, start,
+                         file->sigs_.size() * sizeof(double), reader)) {
     return CorruptSection("FFT signature section");
   }
 
@@ -415,8 +427,8 @@ StatusOr<std::unique_ptr<IndexFile>> IndexFile::ParseResident(
   file->paa_.resize(file->count_ * file->paa_dims_);
   (void)reader.ReadBytes(file->paa_.data(),
                          file->paa_.size() * sizeof(double));
-  if (!SectionChecksumOk(resident, start, file->paa_.size() * sizeof(double),
-                         reader)) {
+  if (!SectionChecksumOk(info.checksum, resident, start,
+                         file->paa_.size() * sizeof(double), reader)) {
     return CorruptSection("PAA summary section");
   }
   for (double v : file->sigs_) {
@@ -436,7 +448,7 @@ StatusOr<std::unique_ptr<IndexFile>> IndexFile::ParseResident(
     file->ri_sigs_.resize(file->count_ * file->ri_dims_);
     (void)reader.ReadBytes(file->ri_sigs_.data(),
                            file->ri_sigs_.size() * sizeof(double));
-    if (!SectionChecksumOk(resident, start,
+    if (!SectionChecksumOk(info.checksum, resident, start,
                            file->ri_sigs_.size() * sizeof(double), reader)) {
       return CorruptSection("RI signature section");
     }
@@ -455,7 +467,7 @@ StatusOr<std::unique_ptr<IndexFile>> IndexFile::ParseResident(
       (void)reader.Read(&v);
       label = v;
     }
-    if (!SectionChecksumOk(resident, start, file->count_ * 4, reader)) {
+    if (!SectionChecksumOk(info.checksum, resident, start, file->count_ * 4, reader)) {
       return CorruptSection("label section");
     }
   }
@@ -473,7 +485,7 @@ StatusOr<std::unique_ptr<IndexFile>> IndexFile::Open(const std::string& path) {
   const std::uint64_t file_size = static_cast<std::uint64_t>(end);
 
   // Two-phase open: read the fixed header region (base header plus the
-  // possible v2 extension) to learn the resident region's size, then read
+  // possible extension header) to learn the resident region's size, then read
   // exactly that region. The data section is never slurped — it is served
   // page-at-a-time through ReadPage.
   std::string header(kIndexHeaderBytes + kIndexExtHeaderBytes, '\0');
@@ -552,7 +564,7 @@ Status IndexFile::ReadPage(std::size_t page, char* out) const {
     }
     std::memcpy(out, memory_.data() + offset, page_size_);
   }
-  if (Fnv1a64(out, page_size_) != page_checksums_[page]) {
+  if (checksum_(out, page_size_) != page_checksums_[page]) {
     return Status(StatusCode::kCorruptHeader,
                   "data page " + std::to_string(page) +
                       " checksum mismatch (bit rot or torn write)");

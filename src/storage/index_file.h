@@ -9,13 +9,16 @@
 
 #include "src/core/series.h"
 #include "src/core/status.h"
+#include "src/io/bytes.h"
 #include "src/storage/buffer_pool.h"
 
 namespace rotind::storage {
 
-/// Paged on-disk index file ("RIDX" container, versions 1 and 2).
+/// Paged on-disk index file ("RIDX" container, versions 1 to 3).
 ///
-/// Layout (little-endian, all checksums 64-bit FNV-1a):
+/// Layout (little-endian; every checksum is 64 bits, computed with the
+/// version's checksum function — byte-wise FNV-1a (Fnv1a64) in versions 1
+/// and 2, the 8-lane LaneChecksum64 in version 3):
 ///
 ///   +--------------------------------------------------------------+
 ///   | header (64 bytes, fixed)                                     |
@@ -23,7 +26,7 @@ namespace rotind::storage {
 ///   |   length u64 | sig_dims u64 | paa_dims u64 | flags u64       |
 ///   |   header checksum u64 (over the 56 bytes before it)          |
 ///   +--------------------------------------------------------------+
-///   | v2 only: extension header (64 bytes, fixed)                  |
+///   | v2 and v3: extension header (64 bytes, fixed)                |
 ///   |   ri_dims u64 | 48 reserved bytes (must be zero)             |
 ///   |   extension checksum u64 (over the 56 bytes before it)       |
 ///   +--------------------------------------------------------------+
@@ -31,8 +34,8 @@ namespace rotind::storage {
 ///   | page checksums: data_pages x u64            + checksum u64   |
 ///   | FFT magnitude signatures: count*sig_dims f64 + checksum u64  |
 ///   | PAA summaries: count*paa_dims f64           + checksum u64   |
-///   | v2, flags bit 1: rotation-invariant pooled signatures,       |
-///   |   count*ri_dims f64                         + checksum u64   |
+///   | v2 and v3, flags bit 1: rotation-invariant pooled            |
+///   |   signatures, count*ri_dims f64             + checksum u64   |
 ///   | labels (flags bit 0): count x i32           + checksum u64   |
 ///   |   ... zero padding to the next page_size boundary ...        |
 ///   +--------------------------------------------------------------+
@@ -41,13 +44,18 @@ namespace rotind::storage {
 ///   | catalog[i].offset + catalog[i].bytes) of the section          |
 ///   +--------------------------------------------------------------+
 ///
+/// Version 3 has the version-2 layout; only the checksum function differs.
+///
 /// VERSIONING RULE: the writer emits the OLDEST version that can represent
-/// the payload — version 1 whenever no rotation-invariant signature section
-/// is requested (ri_dims == 0), byte-identical to files written before v2
-/// existed — and the reader accepts both versions. Flag bits are
-/// version-gated: bit 1 (RI signatures) is "unknown flag bits set"
-/// corruption in a version-1 header, so a v1 reader's rejection behaviour
-/// is preserved exactly.
+/// the payload, and the payload includes its checksum function. Only
+/// version 3 carries the lane checksum, so every new file is version 3,
+/// with or without the RI section. The reader reads the version before
+/// any checksum, accepts versions 1 to 3 (v1 and v2 files verify with
+/// FNV-1a as they always did), and refuses any other version with
+/// kVersionMismatch — as builds that read only versions 1 and 2 refuse a
+/// version-3 file. Flag bits are version-gated: bit 1 (RI signatures) is
+/// "unknown flag bits set" corruption in a version-1 header, so a v1
+/// reader's rejection behaviour is preserved exactly.
 ///
 /// Everything above the data section is the RESIDENT region: it is read,
 /// checksum-verified, and held in memory at open time (signatures and
@@ -63,17 +71,27 @@ namespace rotind::storage {
 ///   kIoError          pread/write failure on an otherwise valid file
 
 inline constexpr char kIndexMagic[4] = {'R', 'I', 'D', 'X'};
-/// Newest version this build writes/accepts; files carry 1 or 2.
-inline constexpr std::uint32_t kIndexVersion = 2;
+/// The version this build writes, and the newest it accepts.
+inline constexpr std::uint32_t kIndexVersion = 3;
 inline constexpr std::uint32_t kIndexVersionV1 = 1;
+/// First version with the extension header.
+inline constexpr std::uint32_t kIndexVersionV2 = 2;
 inline constexpr std::size_t kIndexHeaderBytes = 64;
-/// Version-2 extension header size; a v2 resident region starts at
-/// kIndexHeaderBytes + kIndexExtHeaderBytes.
+/// Extension header size (versions 2 and 3); their resident region starts
+/// at kIndexHeaderBytes + kIndexExtHeaderBytes.
 inline constexpr std::size_t kIndexExtHeaderBytes = 64;
 inline constexpr std::uint64_t kIndexFlagHasLabels = 1;
-/// Version 2: the resident rotation-invariant signature section is present.
-/// Unknown (corrupt) in a version-1 header.
+/// Versions 2 and 3: the resident rotation-invariant signature section is
+/// present. Unknown (corrupt) in a version-1 header.
 inline constexpr std::uint64_t kIndexFlagHasRiSig = 2;
+
+/// A 64-bit checksum over a byte range (Fnv1a64 or LaneChecksum64).
+using IndexChecksumFn = std::uint64_t (*)(const void* data, std::size_t n);
+
+/// The checksum function of every checksum in a container of `version`:
+/// Fnv1a64 for versions 1 and 2, LaneChecksum64 from version 3 on. The
+/// version field is the only selector.
+IndexChecksumFn IndexChecksumFor(std::uint32_t version);
 /// Accepted page sizes: anything in [64 bytes, 64 MiB]. The default
 /// matches SimulatedDisk's 4096-byte page.
 inline constexpr std::uint64_t kMinPageSize = 64;
@@ -87,20 +105,25 @@ struct IndexBuildData {
   std::vector<double> signatures;  ///< count x sig_dims, row-major.
   std::size_t paa_dims = 0;        ///< Columns of `paa` (0 = none).
   std::vector<double> paa;         ///< count x paa_dims, row-major.
-  /// Columns of `ri_signatures` (0 = none). Any non-zero value upgrades the
-  /// written container to version 2; zero keeps it bit-identical to v1.
+  /// Columns of `ri_signatures` (0 = none: the RI flag stays clear and the
+  /// extension header carries ri_dims = 0).
   std::size_t ri_dims = 0;
   std::vector<double> ri_signatures;  ///< count x ri_dims, row-major.
   std::vector<int> labels;            ///< Optional; empty or count entries.
 };
 
-/// Writes `db` plus its signature sections to `path` in the RIDX format.
-/// Fails with kInvalidArgument on shape mismatches (ragged matrices, bad
-/// page size) and kIoError on write failure.
-[[nodiscard]] Status WriteIndexFile(const Dataset& db,
-                                    const IndexBuildData& extras,
-                                    std::size_t page_size_bytes,
-                                    const std::string& path);
+/// Writes `db` plus its signature sections to `path` as a version-3 RIDX
+/// container. Fails with kInvalidArgument on shape mismatches (ragged
+/// matrices, bad page size) and kIoError on write failure.
+///
+/// `durability` kFlush leaves the bytes with the OS: right for throwaway
+/// and rebuildable files. kFsync returns only after the file and then its
+/// directory are fsync'd, so the new file survives a power cut under its
+/// name — required before a manifest that names the file is published.
+[[nodiscard]] Status WriteIndexFile(
+    const Dataset& db, const IndexBuildData& extras,
+    std::size_t page_size_bytes, const std::string& path,
+    WriteDurability durability = WriteDurability::kFlush);
 
 /// An opened RIDX file: resident sections in memory, data section readable
 /// page-at-a-time. Implements PageSource so a BufferPool can cache pages.
@@ -129,7 +152,7 @@ class IndexFile final : public PageSource {
   std::size_t sig_dims() const { return sig_dims_; }
   std::size_t paa_dims() const { return paa_dims_; }
   /// Columns of the rotation-invariant signature matrix; 0 for v1 files and
-  /// v2 files written without the section.
+  /// files written without the section.
   std::size_t ri_dims() const { return ri_dims_; }
   bool has_labels() const { return !labels_.empty(); }
 
@@ -139,7 +162,7 @@ class IndexFile final : public PageSource {
   /// PAA summaries, count x paa_dims row-major.
   const std::vector<double>& paa_summaries() const { return paa_; }
   /// Rotation-invariant pooled signatures (fourier VecSignature rows),
-  /// count x ri_dims row-major; empty unless the file carries the v2
+  /// count x ri_dims row-major; empty unless the file carries the RI
   /// section. Resident; no page I/O.
   const std::vector<double>& ri_signatures() const { return ri_sigs_; }
   /// Class labels (empty when the file was written without them).
@@ -180,6 +203,7 @@ class IndexFile final : public PageSource {
   std::vector<double> paa_;
   std::vector<double> ri_sigs_;
   std::vector<int> labels_;
+  IndexChecksumFn checksum_ = nullptr;  ///< The version's; verifies pages.
 
   int fd_ = -1;              ///< File mode: descriptor for pread.
   std::string path_;         ///< File mode: for error messages.

@@ -23,16 +23,6 @@ Status Truncated(const std::string& what) {
   return {StatusCode::kTruncated, what};
 }
 
-/// Directory prefix of `path` ("." when the path has no separator) — the
-/// directory whose entry must be fsync'd for a rename inside it to be
-/// durable.
-std::string DirOf(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) return ".";
-  if (slash == 0) return "/";
-  return path.substr(0, slash);
-}
-
 /// Shard names must survive a round trip through "manifest directory +
 /// name": non-empty, bounded, single path component, no NUL.
 Status ValidateShardName(const std::string& name) {

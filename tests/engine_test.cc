@@ -288,6 +288,31 @@ TEST(QueryEngineTest, CheckedKnnRejectsBadK) {
   EXPECT_TRUE(engine.KnnChecked(Series(16, 0.5), 2).ok());
 }
 
+/// Regression: the unchecked k-NN entry points read the top of an empty
+/// heap for k < 1 (undefined behaviour the sanitizer job reports). They
+/// now return an empty result without scanning.
+TEST(QueryEngineTest, UncheckedKnnWithKBelowOneIsEmpty) {
+  FlatDataset db = MakeDb(5, 16, 23);
+  const QueryEngine engine(db);
+  const std::vector<Series> items = MakeProjectilePointsDatabase(5, 16, 23);
+  const Series query(16, 0.5);
+  for (const int k : {0, -1}) {
+    StepCounter counter;
+    EXPECT_TRUE(engine.Knn(query, k, &counter).empty()) << "k=" << k;
+    EXPECT_EQ(counter.total_steps(), 0u) << "k=" << k;
+    EXPECT_TRUE(engine.KnnLeaveOneOut(query, k, 2).empty()) << "k=" << k;
+    SharedBound shared;
+    EXPECT_TRUE(engine.KnnShared(query, k, 2, &shared).empty()) << "k=" << k;
+    const auto batch = engine.KnnSearchBatch({query, query}, k, 2);
+    ASSERT_EQ(batch.size(), 2u) << "k=" << k;
+    EXPECT_TRUE(batch[0].empty() && batch[1].empty()) << "k=" << k;
+    EXPECT_TRUE(KnnSearchDatabase(items, query, k, ScanAlgorithm::kWedge,
+                                  ScanOptions())
+                    .empty())
+        << "k=" << k;
+  }
+}
+
 TEST(QueryEngineTest, CheckedRangeRejectsBadRadius) {
   FlatDataset db = MakeDb(5, 16, 22);
   const QueryEngine engine(db);

@@ -14,16 +14,20 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/core/flat_dataset.h"
+#include "src/core/random.h"
 #include "src/core/series.h"
 #include "src/core/status.h"
 #include "src/index/delta.h"
 #include "src/index/index_io.h"
 #include "src/storage/manifest.h"
+#include "tests/testing/legacy_ridx.h"
 
 namespace rotind {
 namespace {
@@ -415,6 +419,77 @@ TEST_F(ShardedIndexTest, SnapshotEngineOutlivesCompaction) {
 
   std::shared_ptr<const QueryEngine> fresh = index.SnapshotEngine();
   EXPECT_EQ(fresh->database_size(), 8u);
+}
+
+/// A shard set may mix container versions: a manifest naming a v2 shard
+/// written by an older writer (FNV-1a checksums) and a v3 shard opens, and
+/// both its serial and its parallel answers equal a monolithic engine's
+/// over the same rows, with every page of both shards read and verified.
+TEST_F(ShardedIndexTest, MixedVersionShardSetMatchesMonolithic) {
+  const Dataset old_rows = testing::LegacyRidxRows();  // 4 rows of length 8
+  const std::size_t length = old_rows.length();
+  {
+    std::ofstream out(dir_ + "/shard-0.ridx", std::ios::binary);
+    out << testing::LegacyRidxV2Image();
+    ASSERT_TRUE(out.good());
+  }
+  const Dataset new_rows = MakeRows(4, 11, length);
+  IndexBuildOptions build;  // the options the v2 image was written with
+  build.sig_dims = 4;
+  build.paa_dims = 4;
+  build.ri_dims = 4;
+  build.page_size_bytes = 64;
+  ASSERT_TRUE(BuildIndexFile(new_rows, build, dir_ + "/shard-1.ridx").ok());
+  storage::Manifest manifest;
+  manifest.generation = 1;
+  manifest.shards = {{"shard-0.ridx", old_rows.size(), length},
+                     {"shard-1.ridx", new_rows.size(), length}};
+  const std::string path = dir_ + "/db.rman";
+  ASSERT_TRUE(storage::WriteManifest(manifest, path).ok());
+
+  std::vector<Series> all = old_rows.items;
+  all.insert(all.end(), new_rows.items.begin(), new_rows.items.end());
+  const FlatDataset flat = FlatDataset::FromItems(all);
+  Rng rng(1717);
+  std::vector<Series> queries;
+  for (int q = 0; q < 4; ++q) {
+    Series query(length);
+    for (double& v : query) v = rng.Uniform(-2.0, 2.0);
+    queries.push_back(std::move(query));
+  }
+
+  for (const bool parallel : {false, true}) {
+    ShardedOptions options;
+    options.parallel_search = parallel;
+    options.num_threads = 2;
+    options.pool_pages = 2;
+    StatusOr<std::unique_ptr<ShardedIndex>> opened =
+        ShardedIndex::Open(path, options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    const ShardedIndex& index = **opened;
+    const QueryEngine reference(flat, options.engine);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      SCOPED_TRACE(std::string(parallel ? "parallel" : "serial") +
+                   " query " + std::to_string(q));
+      const ScanResult want = reference.Search(queries[q]);
+      StatusOr<ScanResult> got = index.Search(queries[q]);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got->best_index, want.best_index);
+      EXPECT_EQ(got->best_distance, want.best_distance);
+
+      // k = every row: each page of both shards is read and verified.
+      const std::vector<Neighbor> want_knn =
+          reference.Knn(queries[q], static_cast<int>(all.size()));
+      StatusOr<std::vector<Neighbor>> knn =
+          index.Knn(queries[q], static_cast<int>(all.size()));
+      ASSERT_TRUE(knn.ok()) << knn.status().ToString();
+      ASSERT_EQ(knn->size(), want_knn.size());
+      for (std::size_t r = 0; r < knn->size(); ++r) {
+        EXPECT_EQ((*knn)[r].index, want_knn[r].index) << "rank " << r;
+        EXPECT_EQ((*knn)[r].distance, want_knn[r].distance) << "rank " << r;
+      }
+    }
+  }
 }
 
 }  // namespace

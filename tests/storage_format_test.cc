@@ -2,7 +2,9 @@
 /// labels), the header/section corruption taxonomy, and the two regression
 /// cases the fuzzer found interesting enough to pin — a corrupted catalog
 /// section and a data-page checksum mismatch, which must surface as Status
-/// from the exact layer that detects them.
+/// from the exact layer that detects them. The writer emits version 3
+/// only; versions 1 and 2 are covered through images an older writer
+/// produced (tests/testing/legacy_ridx.h).
 
 #include "src/storage/index_file.h"
 
@@ -24,8 +26,10 @@
 #include "src/index/index_io.h"
 #include "src/envelope/paa.h"
 #include "src/io/bytes.h"
+#include "src/search/engine.h"
 #include "src/storage/backend.h"
 #include "src/storage/manifest.h"
+#include "tests/testing/legacy_ridx.h"
 
 namespace rotind::storage {
 namespace {
@@ -132,11 +136,16 @@ TEST(StorageFormatTest, CorruptionTaxonomy) {
     EXPECT_EQ(IndexFile::FromMemory(bad).status().code(),
               StatusCode::kBadMagic);
   }
-  {
+  // The version field is checked before the header checksum; only
+  // versions 1 to 3 are known.
+  for (const char version : {'\x00', '\x04', '\x63'}) {
     std::string bad = image;
-    bad[4] = 99;  // version field, checked before the header checksum
-    EXPECT_EQ(IndexFile::FromMemory(bad).status().code(),
-              StatusCode::kVersionMismatch);
+    bad[4] = version;
+    const auto parsed = IndexFile::FromMemory(bad);
+    EXPECT_EQ(parsed.status().code(), StatusCode::kVersionMismatch);
+    EXPECT_NE(parsed.status().message().find("versions 1 through 3"),
+              std::string::npos)
+        << parsed.status().message();
   }
   {
     // Any header field flip past the version trips the header checksum.
@@ -165,8 +174,8 @@ TEST(StorageFormatTest, CorruptionTaxonomy) {
 TEST(StorageFormatTest, CorruptedCatalogSectionIsRejectedAtParse) {
   const std::string image = BuildImage(5, 24, 64);
   std::string bad = image;
-  // BuildIndexFile writes RI signatures by default, so the image is a
-  // version-2 container: the catalog starts after both 64-byte headers.
+  // The writer emits version 3, which always has the extension header:
+  // the catalog starts after both 64-byte headers.
   const std::size_t catalog = kIndexHeaderBytes + kIndexExtHeaderBytes;
   bad[catalog + 3] = static_cast<char>(bad[catalog + 3] ^ 0x40);
   const auto parsed = IndexFile::FromMemory(bad);
@@ -244,19 +253,27 @@ void PatchU64(std::string& image, std::size_t off, std::uint64_t v) {
   std::memcpy(&image[off], &v, sizeof v);
 }
 
+/// The checksum function of `image`, chosen by its version field, so a
+/// patched checksum is valid for whichever version the image has.
+IndexChecksumFn ChecksumOf(const std::string& image) {
+  std::uint32_t version = 0;
+  std::memcpy(&version, image.data() + 4, sizeof version);
+  return IndexChecksumFor(version);
+}
+
 /// Recomputes the base-header checksum after a deliberate field edit, so a
 /// test exercises the semantic check behind the checksum rather than the
 /// checksum itself.
 void FixBaseHeaderChecksum(std::string& image) {
   PatchU64(image, kIndexHeaderBytes - 8,
-           Fnv1a64(image.data(), kIndexHeaderBytes - 8));
+           ChecksumOf(image)(image.data(), kIndexHeaderBytes - 8));
 }
 
-/// Same for the v2 extension header at bytes [64, 128).
+/// Same for the extension header (v2 and v3) at bytes [64, 128).
 void FixExtHeaderChecksum(std::string& image) {
   PatchU64(image, kIndexHeaderBytes + kIndexExtHeaderBytes - 8,
-           Fnv1a64(image.data() + kIndexHeaderBytes,
-                   kIndexExtHeaderBytes - 8));
+           ChecksumOf(image)(image.data() + kIndexHeaderBytes,
+                             kIndexExtHeaderBytes - 8));
 }
 
 TEST(StorageFormatTest, V2RoundtripPreservesRiSignatures) {
@@ -285,11 +302,12 @@ TEST(StorageFormatTest, V2RoundtripPreservesRiSignatures) {
   }
 }
 
-/// The writer emits the OLDEST version that can represent the payload: no
-/// RI section means a version-1 container whose resident region starts at
-/// byte 64, exactly like files written before v2 existed.
-TEST(StorageFormatTest, WriterWithoutRiSectionEmitsVersion1) {
-  const std::string path = TempPath("v1compat");
+/// The payload includes its checksum function, and only version 3 carries
+/// the lane checksum, so the writer emits version 3 with or without the
+/// RI section: the extension header is always present, and every checksum
+/// in the file is LaneChecksum64.
+TEST(StorageFormatTest, WriterWithoutRiSectionEmitsVersion3) {
+  const std::string path = TempPath("v3nori");
   IndexBuildOptions build;
   build.sig_dims = 4;
   build.paa_dims = 4;
@@ -299,14 +317,38 @@ TEST(StorageFormatTest, WriterWithoutRiSectionEmitsVersion1) {
   const std::string image = ReadAll(path);
   std::remove(path.c_str());
 
-  EXPECT_EQ(static_cast<unsigned char>(image[4]), kIndexVersionV1);
+  EXPECT_EQ(static_cast<unsigned char>(image[4]), kIndexVersion);
+  EXPECT_EQ(kIndexVersion, 3u);
+  std::uint64_t stored = 0;
+  std::memcpy(&stored, &image[kIndexHeaderBytes - 8], sizeof stored);
+  EXPECT_EQ(stored, LaneChecksum64(image.data(), kIndexHeaderBytes - 8));
   auto file = IndexFile::FromMemory(image);
   ASSERT_TRUE(file.ok()) << file.status().message();
   EXPECT_EQ((*file)->ri_dims(), 0u);
   EXPECT_TRUE((*file)->ri_signatures().empty());
 
-  // v1 resident region starts right after the 64-byte header: a flip there
-  // must land in the catalog, not in any extension header.
+  // The resident region starts after both headers: a flip there must land
+  // in the catalog.
+  const std::size_t catalog = kIndexHeaderBytes + kIndexExtHeaderBytes;
+  std::string bad = image;
+  bad[catalog + 3] = static_cast<char>(bad[catalog + 3] ^ 0x40);
+  const auto parsed = IndexFile::FromMemory(bad);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("catalog"), std::string::npos)
+      << parsed.status().message();
+}
+
+/// A version-1 container (written by an older writer) has no extension
+/// header: its resident region starts at byte 64, and a flip there must
+/// land in the catalog, not in any extension header.
+TEST(StorageFormatTest, V1ImageResidentRegionStartsAfterBaseHeader) {
+  const std::string image = testing::LegacyRidxV1Image();
+  ASSERT_EQ(static_cast<unsigned char>(image[4]), kIndexVersionV1);
+  auto file = IndexFile::FromMemory(image);
+  ASSERT_TRUE(file.ok()) << file.status().message();
+  EXPECT_EQ((*file)->ri_dims(), 0u);
+  EXPECT_TRUE((*file)->ri_signatures().empty());
+
   std::string bad = image;
   bad[kIndexHeaderBytes + 3] =
       static_cast<char>(bad[kIndexHeaderBytes + 3] ^ 0x40);
@@ -381,15 +423,7 @@ TEST(StorageFormatTest, ExtensionHeaderCorruptionTaxonomy) {
 /// is exactly as corrupt as one claiming any other unknown bit, preserving
 /// the pre-v2 reader's rejection behaviour bit-for-bit.
 TEST(StorageFormatTest, V1HeaderWithRiFlagIsUnknownFlagCorruption) {
-  const std::string path = TempPath("v1flag");
-  IndexBuildOptions build;
-  build.sig_dims = 4;
-  build.paa_dims = 4;
-  build.ri_dims = 0;
-  build.page_size_bytes = 64;
-  ASSERT_TRUE(BuildIndexFile(MakeDataset(5, 24), build, path).ok());
-  std::string image = ReadAll(path);
-  std::remove(path.c_str());
+  std::string image = testing::LegacyRidxV1Image();
   ASSERT_EQ(static_cast<unsigned char>(image[4]), kIndexVersionV1);
 
   std::uint64_t flags = 0;
@@ -437,7 +471,7 @@ TEST(StorageFormatTest, RiSectionCorruptionIsDetected) {
     std::string bad = image;
     const double nan = std::numeric_limits<double>::quiet_NaN();
     std::memcpy(&bad[off], &nan, sizeof nan);
-    PatchU64(bad, off + payload, Fnv1a64(bad.data() + off, payload));
+    PatchU64(bad, off + payload, ChecksumOf(bad)(bad.data() + off, payload));
     const auto parsed = IndexFile::FromMemory(bad);
     ASSERT_FALSE(parsed.ok());
     EXPECT_EQ(parsed.status().code(), StatusCode::kBadValue);
@@ -445,6 +479,121 @@ TEST(StorageFormatTest, RiSectionCorruptionIsDetected) {
               std::string::npos)
         << parsed.status().message();
   }
+}
+
+/// Versions 1 and 2 still open and verify with FNV-1a after the writer
+/// moved to version 3: both embedded images parse, keep their resident
+/// sections, and page back their rows bit for bit.
+TEST(StorageFormatTest, V1AndV2ImagesOpenAndReturnTheirRows) {
+  const Dataset rows = testing::LegacyRidxRows();
+  const struct {
+    std::string image;
+    std::uint32_t version;
+    std::size_t ri_dims;
+  } legacy[] = {{testing::LegacyRidxV1Image(), kIndexVersionV1, 0},
+                {testing::LegacyRidxV2Image(), kIndexVersionV2, 4}};
+  for (const auto& old : legacy) {
+    SCOPED_TRACE("version " + std::to_string(old.version));
+    ASSERT_EQ(static_cast<unsigned char>(old.image[4]), old.version);
+    std::uint64_t stored = 0;
+    std::memcpy(&stored, &old.image[kIndexHeaderBytes - 8], sizeof stored);
+    EXPECT_EQ(stored, Fnv1a64(old.image.data(), kIndexHeaderBytes - 8));
+
+    const std::string path = TempPath("legacy");
+    std::ofstream(path, std::ios::binary) << old.image;
+    auto file = IndexFile::Open(path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(file.ok()) << file.status().message();
+    EXPECT_EQ((*file)->num_objects(), rows.size());
+    EXPECT_EQ((*file)->series_length(), rows.length());
+    EXPECT_EQ((*file)->sig_dims(), 4u);
+    EXPECT_EQ((*file)->paa_dims(), 4u);
+    EXPECT_EQ((*file)->ri_dims(), old.ri_dims);
+    EXPECT_EQ((*file)->labels(), rows.labels);
+
+    auto backend = FileBackend::FromIndex(*std::move(file), 2,
+                                          EvictionPolicy::kLru);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      FetchStats io;
+      auto h = backend->TryFetch(i, &io);
+      ASSERT_TRUE(h.ok()) << h.status().message();
+      ASSERT_EQ(h->length(), rows.length());
+      EXPECT_EQ(std::memcmp(h->data(), rows.items[i].data(),
+                            rows.length() * sizeof(double)),
+                0)
+          << "row " << i;
+    }
+  }
+}
+
+/// Every page is still verified, whatever the version: one flipped byte in
+/// a data page of a v1, v2 or v3 file fails ReadPage, TryFetch and a
+/// checked k-NN query with kCorruptHeader. Each row fills one 64-byte
+/// page, and the flip hits the LAST byte of the last page, which the lane
+/// checksum reads in its final lane.
+TEST(StorageFormatTest, FlippedDataByteFailsEveryReadPathInEachVersion) {
+  const Dataset rows = testing::LegacyRidxRows();
+  const std::string v3_path = TempPath("v3flip");
+  IndexBuildOptions build;
+  build.sig_dims = 4;
+  build.paa_dims = 4;
+  build.ri_dims = 4;
+  build.page_size_bytes = 64;
+  ASSERT_TRUE(BuildIndexFile(rows, build, v3_path).ok());
+  const std::string images[] = {testing::LegacyRidxV1Image(),
+                                testing::LegacyRidxV2Image(),
+                                ReadAll(v3_path)};
+  std::remove(v3_path.c_str());
+
+  for (const std::string& image : images) {
+    SCOPED_TRACE("version " + std::to_string(image[4]));
+    const std::size_t last_page = rows.size() - 1;  // one row per page
+    std::string bad = image;
+    bad.back() = static_cast<char>(bad.back() ^ 0x01);
+
+    auto file = IndexFile::FromMemory(bad);
+    ASSERT_TRUE(file.ok()) << "data pages are verified on read, not parse";
+    std::vector<char> page((*file)->page_size_bytes());
+    const Status read = (*file)->ReadPage(last_page, page.data());
+    EXPECT_EQ(read.code(), StatusCode::kCorruptHeader);
+    EXPECT_NE(read.message().find("checksum mismatch"), std::string::npos)
+        << read.message();
+    EXPECT_TRUE((*file)->ReadPage(0, page.data()).ok());
+
+    auto backend = FileBackend::FromIndex(*std::move(file), 2,
+                                          EvictionPolicy::kLru);
+    FetchStats io;
+    EXPECT_EQ(backend->TryFetch(last_page, &io).status().code(),
+              StatusCode::kCorruptHeader);
+
+    const std::string path = TempPath("flip");
+    std::ofstream(path, std::ios::binary) << bad;
+    EngineOptions options;
+    options.storage.backend = BackendKind::kFile;
+    options.storage.index_path = path;
+    const auto engine = QueryEngine::Open(options);
+    std::remove(path.c_str());
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    const auto knn = (*engine)->KnnChecked(rows.items[0], 4);
+    EXPECT_EQ(knn.status().code(), StatusCode::kCorruptHeader)
+        << knn.status().ToString();
+  }
+}
+
+/// kFsync changes when the writer returns, not what it writes.
+TEST(StorageFormatTest, FsyncBuildIsByteIdenticalToFlushBuild) {
+  const Dataset ds = MakeDataset(7, 40);
+  IndexBuildOptions build;
+  build.page_size_bytes = 128;
+  const std::string flushed = TempPath("flush");
+  const std::string synced = TempPath("fsync");
+  ASSERT_TRUE(BuildIndexFile(ds, build, flushed).ok());
+  ASSERT_TRUE(
+      BuildIndexFile(ds, build, synced, WriteDurability::kFsync).ok());
+  EXPECT_EQ(ReadAll(flushed), ReadAll(synced));
+  EXPECT_TRUE(IndexFile::Open(synced).ok());
+  std::remove(flushed.c_str());
+  std::remove(synced.c_str());
 }
 
 TEST(StorageFormatTest, OpenMissingFileIsNotFound) {

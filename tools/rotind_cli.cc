@@ -103,6 +103,7 @@
 #include "src/eval/classify.h"
 #include "src/index/index_io.h"
 #include "src/index/sharded_index.h"
+#include "src/io/bytes.h"
 #include "src/io/serialize.h"
 #include "src/mining/motif.h"
 #include "src/obs/metrics.h"
@@ -720,14 +721,6 @@ int CmdIndexBuild(const Args& args) {
   return 0;
 }
 
-/// Directory of `path` for resolving manifest-relative shard files.
-std::string DirName(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) return ".";
-  if (slash == 0) return "/";
-  return path.substr(0, slash);
-}
-
 /// Parses the --tombstones comma-separated global-id list.
 bool ParseIdList(const std::string& text, std::vector<std::uint64_t>* out) {
   std::size_t start = 0;
@@ -771,7 +764,7 @@ int CmdIndexShardBuild(const Args& args) {
   // Contiguous uneven split: base rows per shard, the first `extra`
   // shards take one more. Global ids are manifest order, so row g of the
   // database keeps global id g.
-  const std::string dir = DirName(args.manifest_path);
+  const std::string dir = DirOf(args.manifest_path);
   const std::size_t base = db.size() / shards;
   const std::size_t extra = db.size() % shards;
   storage::Manifest manifest;
@@ -789,7 +782,10 @@ int CmdIndexShardBuild(const Args& args) {
           db.labels.begin() + static_cast<std::ptrdiff_t>(row + count));
     }
     const std::string shard_file = "shard-" + std::to_string(s) + ".ridx";
-    const Status ok = BuildIndexFile(part, build, dir + "/" + shard_file);
+    // kFsync: the shard's bytes and its directory entry reach stable
+    // storage before the manifest below names it.
+    const Status ok = BuildIndexFile(part, build, dir + "/" + shard_file,
+                                     WriteDurability::kFsync);
     if (!ok.ok()) {
       std::fprintf(stderr, "shard %zu build failed: %s\n", s,
                    ok.ToString().c_str());

@@ -41,6 +41,7 @@
 #include "src/storage/backend.h"
 #include "src/storage/index_file.h"
 #include "src/storage/manifest.h"
+#include "tests/testing/legacy_ridx.h"
 
 namespace {
 
@@ -194,10 +195,28 @@ std::vector<std::string> BuiltInCorpus() {
     }
   }
 
-  // A genuine RIDX index image (tiny 64-byte pages keep the sweep cheap):
-  // every prefix, plus bit-flips across the header and strided through the
-  // resident sections and data pages — the corruption taxonomy the index
-  // reader's checksums must catch without crashing.
+  // Genuine RIDX index images (tiny 64-byte pages keep the sweep cheap):
+  // every 7th prefix, plus bit-flips across the header and strided through
+  // the resident sections and data pages — the corruption taxonomy the
+  // index reader's checksums must catch without crashing. The writer emits
+  // version 3 (lane checksums); the embedded version-2 image keeps the
+  // FNV-1a path of the reader under the same sweep.
+  const auto add_ridx_seeds = [&corpus](const std::string& image) {
+    for (std::size_t cut = 0; cut <= image.size(); cut += 7) {
+      corpus.push_back(image.substr(0, cut));
+    }
+    for (std::size_t i = 0; i < 64 && i < image.size(); ++i) {
+      std::string mutated = image;
+      mutated[i] = static_cast<char>(mutated[i] ^ 0xFF);
+      corpus.push_back(std::move(mutated));
+    }
+    for (std::size_t i = 64; i < image.size(); i += 13) {
+      std::string mutated = image;
+      mutated[i] = static_cast<char>(mutated[i] ^ 0xFF);
+      corpus.push_back(std::move(mutated));
+    }
+    corpus.push_back(image);
+  };
   {
     Dataset small;
     for (int i = 0; i < 4; ++i) {
@@ -215,22 +234,10 @@ std::vector<std::string> BuiltInCorpus() {
       std::string image((std::istreambuf_iterator<char>(in)),
                         std::istreambuf_iterator<char>());
       std::remove(ridx_path.c_str());
-      for (std::size_t cut = 0; cut <= image.size(); cut += 7) {
-        corpus.push_back(image.substr(0, cut));
-      }
-      for (std::size_t i = 0; i < 64 && i < image.size(); ++i) {
-        std::string mutated = image;
-        mutated[i] = static_cast<char>(mutated[i] ^ 0xFF);
-        corpus.push_back(std::move(mutated));
-      }
-      for (std::size_t i = 64; i < image.size(); i += 13) {
-        std::string mutated = image;
-        mutated[i] = static_cast<char>(mutated[i] ^ 0xFF);
-        corpus.push_back(std::move(mutated));
-      }
-      corpus.push_back(std::move(image));
+      add_ridx_seeds(image);
     }
   }
+  add_ridx_seeds(testing::LegacyRidxV2Image());
 
   // Shard-set manifest seeds: a genuine two-shard image with tombstones,
   // every truncation prefix, a bit-flip sweep (header checksum, version,
