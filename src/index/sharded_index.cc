@@ -101,13 +101,14 @@ std::size_t SnapshotView::PartOf(std::size_t ordinal) const {
 }
 
 storage::SeriesHandle SnapshotView::Fetch(std::size_t i,
-                                          storage::FetchStats* stats) const {
+                                          storage::FetchStats* stats,
+                                          storage::PageHold* hold) const {
   const std::size_t ordinal = begin_ + i;
   const std::size_t part = PartOf(ordinal);
   const std::size_t at = ordinal - snapshot_->part_offsets[part];
   if (part < snapshot_->shards.size()) {
     return snapshot_->shards[part]->Fetch(snapshot_->shard_live[part][at],
-                                          stats);
+                                          stats, hold);
   }
   // Delta rows live in the snapshot's flattened buffer, which this view
   // keeps alive — a zero-copy borrow, no I/O to account.

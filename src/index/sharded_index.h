@@ -82,10 +82,12 @@ struct ShardedSnapshot {
 
 /// StorageBackend over a contiguous live-ordinal range [begin, end) of a
 /// ShardedSnapshot: shard rows are fetched through the shard's paged
-/// FileBackend, delta rows are zero-copy borrows from the snapshot's
-/// flattened values. This is what lets ONE unmodified QueryEngine search
-/// "all live rows" (serial mode) or "one part" (parallel mode) — the
-/// engine never learns the database is sharded.
+/// FileBackend, which gets the caller's PageHold (a fetch from another
+/// shard releases a page the hold pins in this one), and delta rows are
+/// zero-copy borrows from the snapshot's flattened values. This is what
+/// lets ONE unmodified QueryEngine search "all live rows" (serial mode) or
+/// "one part" (parallel mode) — the engine never learns the database is
+/// sharded.
 ///
 /// Keeps its snapshot alive via shared_ptr, so borrowed delta pointers and
 /// shard backends outlive every handle. Thread-safe like every backend
@@ -101,8 +103,8 @@ class SnapshotView final : public storage::StorageBackend {
   const char* name() const override { return "sharded"; }
   std::size_t size() const override { return end_ - begin_; }
   std::size_t length() const override { return snapshot_->length; }
-  storage::SeriesHandle Fetch(std::size_t i,
-                              storage::FetchStats* stats) const override;
+  storage::SeriesHandle Fetch(std::size_t i, storage::FetchStats* stats,
+                              storage::PageHold* hold) const override;
   int label(std::size_t i) const override;
   /// First latched error across the shard backends (delta fetches cannot
   /// fail).

@@ -1337,12 +1337,12 @@ const FlatDataset* QueryEngine::BlockedSource() const {
 }
 
 storage::SeriesHandle QueryEngine::FetchCandidate(
-    std::size_t i, storage::FetchStats* io) const {
+    std::size_t i, storage::FetchStats* io, storage::PageHold* hold) const {
   if (vec_ != nullptr) {
     return storage::SeriesHandle::Borrowed((*vec_)[i].data(),
                                            (*vec_)[i].size());
   }
-  return backend_->Fetch(i, io);
+  return backend_->Fetch(i, io, hold);
 }
 
 bool QueryEngine::BackendDoesIo() const {
@@ -1465,9 +1465,13 @@ void QueryEngine::Scan(const Series& query, std::size_t holdout,
       metrics != nullptr && BackendDoesIo()
           ? &metrics->stage(obs::StageId::kDiskFetch)
           : nullptr;
+  // The scan's one pinned data page: a file-backed candidate inside the
+  // held page is read in place, and RunScan drops each handle before the
+  // next fetch may move the hold. Unpinned when the scan returns.
+  storage::PageHold hold;
   const auto fetch = [&](std::size_t i) {
     const StageScope scope(fetch_stats, counter);
-    storage::SeriesHandle h = FetchCandidate(i, &fetch_io);
+    storage::SeriesHandle h = FetchCandidate(i, &fetch_io, &hold);
     if (!h.valid() && outcome != nullptr) outcome->fetch_failed = true;
     return h;
   };

@@ -405,9 +405,10 @@ class QueryEngine {
   const FlatDataset* BlockedSource() const;
 
   /// One candidate fetch: a borrow for legacy vector storage, a backend
-  /// fetch (with I/O accounting into `io`) otherwise.
-  storage::SeriesHandle FetchCandidate(std::size_t i,
-                                       storage::FetchStats* io) const;
+  /// fetch (with I/O accounting into `io`) through the scan's page `hold`
+  /// otherwise.
+  storage::SeriesHandle FetchCandidate(std::size_t i, storage::FetchStats* io,
+                                       storage::PageHold* hold) const;
   /// True when fetches do attributable I/O (simulated or file backend) —
   /// gates the kDiskFetch stage so purely in-memory runs keep their
   /// metrics shape.

@@ -19,7 +19,7 @@ StatusOr<SeriesHandle> StorageBackend::TryFetch(std::size_t i,
     return Status::OutOfRange("object id " + std::to_string(i) +
                               " not in [0, " + std::to_string(size()) + ")");
   }
-  SeriesHandle handle = Fetch(i, stats);
+  SeriesHandle handle = Fetch(i, stats, nullptr);
   if (!handle.valid()) {
     Status latched = error();
     if (!latched.ok()) return latched;
@@ -33,7 +33,8 @@ int StorageBackend::label(std::size_t) const { return 0; }
 // --------------------------------------------------------------------------
 // InMemoryBackend
 
-SeriesHandle InMemoryBackend::Fetch(std::size_t i, FetchStats* stats) const {
+SeriesHandle InMemoryBackend::Fetch(std::size_t i, FetchStats* stats,
+                                    PageHold* /*hold*/) const {
   if (stats != nullptr) ++stats->object_fetches;
   return SeriesHandle::Borrowed(flat_->data(i), flat_->length());
 }
@@ -53,7 +54,8 @@ SimulatedBackend::SimulatedBackend(const FlatDataset& flat,
   }
 }
 
-SeriesHandle SimulatedBackend::Fetch(std::size_t i, FetchStats* stats) const {
+SeriesHandle SimulatedBackend::Fetch(std::size_t i, FetchStats* stats,
+                                     PageHold* /*hold*/) const {
   const int id = static_cast<int>(i);
   if (stats != nullptr) {
     ++stats->object_fetches;
@@ -138,8 +140,8 @@ StatusOr<BufferPool::Pinned> FileBackend::PinWithRetry(
   }
 }
 
-StatusOr<SeriesHandle> FileBackend::TryFetch(std::size_t i,
-                                             FetchStats* stats) const {
+StatusOr<SeriesHandle> FileBackend::Read(std::size_t i, FetchStats* stats,
+                                         PageHold* hold) const {
   if (i >= file_->num_objects()) {
     return Status::OutOfRange("object id " + std::to_string(i) +
                               " not in [0, " +
@@ -149,6 +151,28 @@ StatusOr<SeriesHandle> FileBackend::TryFetch(std::size_t i,
   const std::size_t page_size = file_->page_size_bytes();
   const std::size_t first = extent.offset / page_size;
   const std::size_t last = (extent.offset + extent.bytes - 1) / page_size;
+
+  if (hold != nullptr) {
+    const std::uint64_t from =
+        extent.offset - static_cast<std::uint64_t>(first) * page_size;
+    if (first == last && from % alignof(double) == 0) {
+      // In place: the frame is 64-byte aligned, so the row's doubles are
+      // readable where they lie for as long as the hold pins the page.
+      if (hold->pinned_.Pins(pool_, first)) {
+        if (stats != nullptr) ++stats->pool_hits;
+      } else {
+        hold->Release();  // unpin before pinning: one frame per query
+        StatusOr<BufferPool::Pinned> pinned = PinWithRetry(first, stats);
+        if (!pinned.ok()) return pinned.status();
+        hold->pinned_ = *std::move(pinned);
+      }
+      if (stats != nullptr) ++stats->object_fetches;
+      return SeriesHandle::Borrowed(
+          reinterpret_cast<const double*>(hold->pinned_.data() + from),
+          extent.bytes / sizeof(double));
+    }
+    hold->Release();
+  }
 
   std::vector<double> values(extent.bytes / sizeof(double));
   char* dst = reinterpret_cast<char*>(values.data());
@@ -169,8 +193,14 @@ StatusOr<SeriesHandle> FileBackend::TryFetch(std::size_t i,
   return SeriesHandle::TakeOwned(std::move(values));
 }
 
-SeriesHandle FileBackend::Fetch(std::size_t i, FetchStats* stats) const {
-  StatusOr<SeriesHandle> handle = TryFetch(i, stats);
+StatusOr<SeriesHandle> FileBackend::TryFetch(std::size_t i,
+                                             FetchStats* stats) const {
+  return Read(i, stats, nullptr);
+}
+
+SeriesHandle FileBackend::Fetch(std::size_t i, FetchStats* stats,
+                                PageHold* hold) const {
+  StatusOr<SeriesHandle> handle = Read(i, stats, hold);
   if (handle.ok()) return *std::move(handle);
   MutexLock lock(error_mutex_);
   if (error_.ok()) error_ = handle.status();
@@ -223,8 +253,8 @@ StatusOr<SeriesHandle> FaultInjectingBackend::TryFetch(
   return inner_->TryFetch(i, stats);
 }
 
-SeriesHandle FaultInjectingBackend::Fetch(std::size_t i,
-                                          FetchStats* stats) const {
+SeriesHandle FaultInjectingBackend::Fetch(std::size_t i, FetchStats* stats,
+                                          PageHold* /*hold*/) const {
   StatusOr<SeriesHandle> handle = TryFetch(i, stats);
   if (handle.ok()) return *std::move(handle);
   MutexLock lock(error_mutex_);

@@ -29,7 +29,9 @@ namespace rotind::storage {
 ///               bytes live in RAM but page reads are tallied as if the
 ///               series were packed contiguously into fixed-size pages.
 ///   kFile       a real paged RIDX index file read with pread through a
-///               BufferPool (pin -> copy -> unpin per page).
+///               BufferPool: a row inside one page is read in place from
+///               the caller's PageHold, any other row is copied out of its
+///               pages (pin -> copy -> unpin per page).
 enum class BackendKind { kInMemory, kSimulated, kFile };
 
 /// Per-fetch (or per-query, when accumulated) I/O accounting. The engine
@@ -70,9 +72,13 @@ struct RetryPolicy {
 /// True for Status codes a retry may clear (the transient fault classes).
 [[nodiscard]] bool IsRetryableStorageError(StatusCode code);
 
-/// A fetched series: either a zero-copy borrow (in-memory and simulated
-/// backends) or an owned buffer assembled from pool pages (file backend).
-/// The pointer stays valid while the handle lives.
+/// A fetched series: either a zero-copy borrow or an owned buffer. The
+/// in-memory and simulated backends borrow their resident rows; the file
+/// backend borrows from the page its caller's PageHold pins when the row
+/// lies inside that one page, and otherwise returns an owned copy
+/// assembled from pool pages. The pointer stays valid while the handle
+/// lives and, for a borrow from a hold, until that hold moves to another
+/// page or is released.
 class SeriesHandle {
  public:
   SeriesHandle() = default;
@@ -105,6 +111,27 @@ class SeriesHandle {
   std::size_t n_ = 0;
 };
 
+/// One query's pinned data page, carried from one candidate fetch to the
+/// next so a scan pins each page once and reads its rows in place. A
+/// FileBackend fetch that finds its row's page already held serves the
+/// row from it without a pool call; any other fetch releases the hold
+/// before it pins anything (the row's page, a page of another shard, or
+/// the pages of a row that straddles two), so a query never pins more than
+/// one frame at any instant, and a pool with capacity >= concurrent
+/// queries always makes progress. The hold must not outlive the backend
+/// whose pool it pins; destroying it unpins.
+class PageHold {
+ public:
+  PageHold() = default;
+
+  /// Unpins the held page, if any (idempotent).
+  void Release() { pinned_.Release(); }
+
+ private:
+  friend class FileBackend;
+  BufferPool::Pinned pinned_;
+};
+
 /// Uniform read interface over the three storages. All methods are const
 /// and thread-safe (SearchBatch shares one backend across workers).
 class StorageBackend {
@@ -118,13 +145,20 @@ class StorageBackend {
   virtual std::size_t length() const = 0;
 
   /// Fetches object `i` (precondition: i < size()). `stats`, when non-null,
-  /// accumulates the I/O this fetch performed. On an I/O failure the file
+  /// accumulates the I/O this fetch performed. `hold`, when non-null, is
+  /// the caller's PageHold: the file backend may return a borrow from the
+  /// page it pins (valid until the next fetch through the same hold), and
+  /// other backends ignore it; without a hold every backend returns a
+  /// handle that stays valid on its own. On an I/O failure the file
   /// backend returns an invalid handle and latches the Status (see
   /// error()); the in-memory backends cannot fail.
-  virtual SeriesHandle Fetch(std::size_t i, FetchStats* stats) const = 0;
+  virtual SeriesHandle Fetch(std::size_t i, FetchStats* stats,
+                             PageHold* hold) const = 0;
 
   /// Validated fetch for tools and untrusted callers: bounds-checked,
-  /// surfaces I/O errors as a Status instead of latching.
+  /// surfaces I/O errors as a Status instead of latching, and always
+  /// returns a handle that owns or borrows its row independently of any
+  /// PageHold.
   [[nodiscard]] virtual StatusOr<SeriesHandle> TryFetch(
       std::size_t i, FetchStats* stats) const;
 
@@ -151,7 +185,8 @@ class InMemoryBackend final : public StorageBackend {
   const char* name() const override { return "memory"; }
   std::size_t size() const override { return flat_->size(); }
   std::size_t length() const override { return flat_->length(); }
-  SeriesHandle Fetch(std::size_t i, FetchStats* stats) const override;
+  SeriesHandle Fetch(std::size_t i, FetchStats* stats,
+                     PageHold* hold) const override;
   int label(std::size_t i) const override;
 
   /// The borrowed dataset, exposing the SoA tiles for blocked scoring
@@ -174,7 +209,8 @@ class SimulatedBackend final : public StorageBackend {
   const char* name() const override { return "simulated"; }
   std::size_t size() const override { return disk_.num_objects(); }
   std::size_t length() const override { return length_; }
-  SeriesHandle Fetch(std::size_t i, FetchStats* stats) const override;
+  SeriesHandle Fetch(std::size_t i, FetchStats* stats,
+                     PageHold* hold) const override;
 
   const SimulatedDisk& disk() const { return disk_; }
 
@@ -183,9 +219,14 @@ class SimulatedBackend final : public StorageBackend {
   std::size_t length_ = 0;
 };
 
-/// pread-backed RIDX index file behind a BufferPool. Each fetch pins the
-/// pages the object's catalog extent touches, copies the slices into an
-/// owned buffer, and unpins — so a handle never holds pool frames hostage.
+/// pread-backed RIDX index file behind a BufferPool. A fetch through a
+/// PageHold whose row lies inside one page at an 8-byte-aligned offset
+/// keeps that page pinned in the hold and borrows the row from the frame:
+/// the page's other rows then cost no allocation, copy, or pool call, and
+/// still count as pool hits in FetchStats. Every other fetch (no hold, a
+/// row straddling pages, a misaligned extent) pins the pages the row's
+/// catalog extent touches one at a time, copies the slices into an owned
+/// buffer, and unpins, so an owned handle never keeps a frame pinned.
 class FileBackend final : public StorageBackend {
  public:
   /// Per-backend knobs beyond pool sizing: the retry budget for transient
@@ -211,7 +252,8 @@ class FileBackend final : public StorageBackend {
   const char* name() const override { return "file"; }
   std::size_t size() const override { return file_->num_objects(); }
   std::size_t length() const override { return file_->series_length(); }
-  SeriesHandle Fetch(std::size_t i, FetchStats* stats) const override;
+  SeriesHandle Fetch(std::size_t i, FetchStats* stats,
+                     PageHold* hold) const override;
   [[nodiscard]] StatusOr<SeriesHandle> TryFetch(
       std::size_t i, FetchStats* stats) const override;
   int label(std::size_t i) const override;
@@ -234,6 +276,12 @@ class FileBackend final : public StorageBackend {
   [[nodiscard]] StatusOr<BufferPool::Pinned> PinWithRetry(
       std::size_t page, FetchStats* stats) const;
 
+  /// The one read path behind Fetch and TryFetch: bounds-checks `i`, then
+  /// borrows the row from `hold` (non-null, row inside one page at an
+  /// aligned offset) or copies it out of its pages, releasing `hold` first.
+  [[nodiscard]] StatusOr<SeriesHandle> Read(std::size_t i, FetchStats* stats,
+                                            PageHold* hold) const;
+
   const std::unique_ptr<IndexFile> file_;
   const RetryPolicy retry_;
   /// Null when disabled; set once in the constructor.
@@ -241,9 +289,10 @@ class FileBackend final : public StorageBackend {
   const std::unique_ptr<FaultInjectingSource> fault_source_;
   /// SYNC-EXEMPT: internally synchronized — BufferPool owns its own Mutex.
   mutable BufferPool pool_;
-  /// kBackendError rank: acquired with no other lock held (PinWithRetry
-  /// releases the pool pin before Fetch latches a failure), and strictly
-  /// above the pool so error() may never be called from inside a pin.
+  /// kBackendError rank: acquired with no other lock held (a pin takes
+  /// and drops the pool mutex before Fetch latches a failure), and
+  /// strictly above the pool so error() may never be called from inside a
+  /// pin.
   mutable Mutex error_mutex_{LockRank::kBackendError};
   /// First failure from an unchecked Fetch.
   mutable Status error_ ROTIND_GUARDED_BY(error_mutex_);
@@ -269,7 +318,11 @@ class FaultInjectingBackend final : public StorageBackend {
   const char* name() const override { return "fault-injecting"; }
   std::size_t size() const override { return inner_->size(); }
   std::size_t length() const override { return inner_->length(); }
-  SeriesHandle Fetch(std::size_t i, FetchStats* stats) const override;
+  /// Decides the fault for object `i`, then fetches an owned copy through
+  /// the inner TryFetch (the hold is unused), so faults stay per object and
+  /// the inner backend's latch is never touched.
+  SeriesHandle Fetch(std::size_t i, FetchStats* stats,
+                     PageHold* hold) const override;
   [[nodiscard]] StatusOr<SeriesHandle> TryFetch(
       std::size_t i, FetchStats* stats) const override;
   int label(std::size_t i) const override { return inner_->label(i); }

@@ -33,8 +33,15 @@ BufferPool::BufferPool(const PageSource& source, std::size_t capacity_pages,
       page_size_(source.page_size_bytes()),
       policy_(policy),
       capacity_(capacity_pages == 0 ? 1 : capacity_pages) {
+  // Whole cache lines per frame keep every frame 64-byte aligned.
+  const std::size_t stride =
+      (page_size_ + kSimdAlignment - 1) / kSimdAlignment * kSimdAlignment;
+  arena_.resize(capacity_ * stride / sizeof(double));
+  char* base = reinterpret_cast<char*>(arena_.data());
   frames_.resize(capacity_);
-  for (Frame& frame : frames_) frame.data.resize(page_size_);
+  for (std::size_t i = 0; i < capacity_; ++i) {
+    frames_[i].data = base + i * stride;
+  }
 }
 
 void BufferPool::Unpin(std::size_t frame) {
@@ -80,57 +87,83 @@ StatusOr<std::size_t> BufferPool::PickFrameLocked() {
 StatusOr<BufferPool::Pinned> BufferPool::Pin(std::size_t page,
                                              PinOutcome* outcome) {
   if (outcome != nullptr) *outcome = PinOutcome{};
-  MutexLock lock(mutex_);
   if (page >= source_.num_pages()) {
     return Status::OutOfRange("page " + std::to_string(page) +
                               " out of range; source has " +
                               std::to_string(source_.num_pages()) + " pages");
   }
 
-  const auto it = page_to_frame_.find(page);
-  if (it != page_to_frame_.end()) {
-    Frame& frame = frames_[it->second];
-    ++frame.pins;
-    frame.last_use = ++tick_;
-    frame.referenced = true;
-    ++counters_.hits;
-    if (outcome != nullptr) outcome->hit = true;
-    return Pinned(this, it->second, frame.data.data(), page);
+  std::size_t slot = 0;
+  char* bytes = nullptr;
+  {
+    MutexLock lock(mutex_);
+    for (;;) {
+      const auto it = page_to_frame_.find(page);
+      if (it == page_to_frame_.end()) break;
+      Frame& frame = frames_[it->second];
+      if (frame.loading) {
+        // Another Pin is reading this page outside the mutex: wait until it
+        // publishes the frame or drops the entry, then look again.
+        ++waiters_;
+        loaded_.Wait(mutex_);
+        --waiters_;
+        continue;
+      }
+      ++frame.pins;
+      frame.last_use = ++tick_;
+      frame.referenced = true;
+      ++counters_.hits;
+      if (outcome != nullptr) outcome->hit = true;
+      return Pinned(this, it->second, frame.data, page);
+    }
+
+    StatusOr<std::size_t> picked = PickFrameLocked();
+    if (!picked.ok()) return picked.status();
+    slot = *picked;
+    Frame& frame = frames_[slot];
+    if (frame.occupied) {
+      ROTIND_DCHECK(frame.pins == 0 && !frame.loading);
+      page_to_frame_.erase(frame.page);
+      ++counters_.evictions;
+      if (outcome != nullptr) outcome->evicted = true;
+    }
+    // Claim the frame as loading: pinned by this call, so it is neither
+    // evicted nor handed out, and mapped, so a concurrent Pin of the page
+    // waits for this read instead of issuing its own.
+    frame.page = page;
+    frame.occupied = true;
+    frame.loading = true;
+    frame.pins = 1;
+    page_to_frame_[page] = slot;
+    bytes = frame.data;
   }
 
-  StatusOr<std::size_t> slot = PickFrameLocked();
-  if (!slot.ok()) return slot.status();
-  Frame& frame = frames_[*slot];
-  if (frame.occupied) {
-    ROTIND_DCHECK(frame.pins == 0);
-    page_to_frame_.erase(frame.page);
-    frame.occupied = false;
-    ++counters_.evictions;
-    if (outcome != nullptr) outcome->evicted = true;
-  }
-  // The source read (and its page verification) happens under the pool
-  // mutex: correctness first; see the class comment for its cost.
-  // ReadPage failure leaves the frame free (unoccupied, unpinned, and not
-  // in page_to_frame_), so a transient I/O error does not poison the pool:
-  // the Status propagates to the caller and the very next Pin of the same
-  // page retries the read into a clean frame.
-  Status read = source_.ReadPage(page, frame.data.data());
+  // The source read (and its page verification) runs with no pool lock
+  // held; only this call writes the claimed frame.
+  const Status read = source_.ReadPage(page, bytes);
+
+  MutexLock lock(mutex_);
+  Frame& frame = frames_[slot];
+  ROTIND_DCHECK(frame.loading && frame.page == page && frame.pins == 1);
+  frame.loading = false;
+  if (waiters_ > 0) loaded_.NotifyAll();
   if (!read.ok()) {
-    ROTIND_DCHECK(!frame.occupied && frame.pins == 0);
-    ROTIND_DCHECK(page_to_frame_.find(page) == page_to_frame_.end());
+    // A failed read frees the frame and drops the entry, so a transient
+    // I/O error does not poison the pool: the Status propagates to the
+    // caller, and the next Pin of the page (a woken waiter included)
+    // retries the read into a clean frame.
+    page_to_frame_.erase(page);
+    frame.occupied = false;
+    frame.pins = 0;
     ++counters_.failed_reads;
     return read;
   }
-  frame.page = page;
-  frame.occupied = true;
-  frame.pins = 1;
   frame.last_use = ++tick_;
   frame.referenced = true;
-  page_to_frame_[page] = *slot;
   ++counters_.misses;
   counters_.bytes_read += page_size_;
   if (outcome != nullptr) outcome->bytes_read = page_size_;
-  return Pinned(this, *slot, frame.data.data(), page);
+  return Pinned(this, slot, bytes, page);
 }
 
 std::size_t BufferPool::resident_pages() const {

@@ -60,10 +60,9 @@ Status FaultInjectingSource::ReadPage(std::size_t page, char* out) const {
                     "injected torn page " + std::to_string(page) +
                         ": checksum mismatch");
     case FaultKind::kLatencySpike:
-      // NOTE: the sleep happens inside the BufferPool's single mutex when
-      // reached through a pool miss, so a spike convoys concurrent pins —
-      // intentional: that is how a slow disk read behaves under this pool
-      // design, and it is attributable in the p99 column.
+      // Reached through a pool miss, the sleep runs with no pool lock
+      // held: it delays this pin and the pins waiting for the same page,
+      // as a slow disk read would, and pins of other pages proceed.
       std::this_thread::sleep_for(action.latency);
       break;
     case FaultKind::kNone:

@@ -82,9 +82,10 @@ class FaultSchedule {
 
  private:
   const FaultScheduleSpec spec_;
-  /// kFaultSchedule rank: Decide is reached from inside the BufferPool's
-  /// miss path (pool mutex held), so this mutex must rank strictly below
-  /// LockRank::kBufferPool.
+  /// kFaultSchedule rank: Decide is reached from the BufferPool's miss
+  /// path, which reads its page with no pool lock held; the rank stays
+  /// strictly below LockRank::kBufferPool so a future caller that does
+  /// hold the pool mutex still obeys the hierarchy.
   mutable Mutex mutex_{LockRank::kFaultSchedule};
   Rng rng_ ROTIND_GUARDED_BY(mutex_);
   /// Remaining failures in an in-progress transient burst, per key.

@@ -87,8 +87,12 @@ StatusOr<HeaderInfo> ParseHeader(const char* data, std::size_t size,
     if (!reader.Read(&info.ri_dims) ||
         !reader.ReadBytes(reserved, sizeof reserved) ||
         !reader.Read(&ext_checksum)) {
-      return Status(StatusCode::kTruncated,
-                    "file ends inside the v2 extension header");
+      // Appended, not `"literal" + std::string`: GCC 12's -Wrestrict
+      // false positive (bug 105329) fails that under -Werror.
+      std::string message = "file ends inside the v";
+      message += std::to_string(version);
+      message += " extension header";
+      return Status(StatusCode::kTruncated, std::move(message));
     }
     if (info.checksum(data + kIndexHeaderBytes,
                       kIndexExtHeaderBytes - sizeof(std::uint64_t)) !=

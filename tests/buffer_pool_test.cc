@@ -1,14 +1,19 @@
 /// BufferPool behavior: capacity is a hard bound (property-tested), pinned
 /// frames are never evicted, LRU and Clock pick sane victims, hit/miss/
-/// eviction counters add up, and source failures surface as Status without
-/// wedging the pool.
+/// eviction counters add up, source failures surface as Status without
+/// wedging the pool, and a miss read outside the mutex (a loading frame)
+/// is shared by concurrent pins of its page and counts against capacity.
 
 #include "src/storage/buffer_pool.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/random.h"
@@ -55,6 +60,63 @@ class PatternSource : public PageSource {
   std::size_t pages_;
   std::size_t failing_page_ = static_cast<std::size_t>(-1);
 };
+
+/// PatternSource whose reads of one page block until Open(), so a test can
+/// hold a miss in its loading state; counts the gated reads that started
+/// and can fail the first few of them.
+class GatedSource : public PatternSource {
+ public:
+  GatedSource(std::size_t page_size, std::size_t pages, std::size_t gated_page)
+      : PatternSource(page_size, pages), gated_page_(gated_page) {}
+
+  Status ReadPage(std::size_t page, char* out) const override {
+    if (page == gated_page_) {
+      std::unique_lock<std::mutex> lock(mu_);
+      ++reads_;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return open_; });
+      if (failures_left_ > 0) {
+        --failures_left_;
+        return Status::IoError("gated read failed");
+      }
+    }
+    return PatternSource::ReadPage(page, out);
+  }
+
+  void FailNextReads(int n) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    failures_left_ = n;
+  }
+  void Open() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  /// Blocks until `n` reads of the gated page have started.
+  void WaitForReads(int n) const {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return reads_ >= n; });
+  }
+  int reads() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return reads_;
+  }
+
+ private:
+  const std::size_t gated_page_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable int reads_ = 0;
+  mutable int failures_left_ = 0;
+  bool open_ = false;
+};
+
+/// Lets the pins started alongside a gated read reach the loading frame
+/// before the gate opens. The assertions hold whatever the timing; the
+/// pause only makes the waiting path the one exercised.
+void LetPinsQueue() {
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+}
 
 TEST(BufferPoolTest, MissThenHitWithCorrectBytes) {
   const PatternSource source(64, 8);
@@ -244,6 +306,124 @@ TEST(BufferPoolTest, InjectedTornPageSurfacesAsCorruptHeaderThroughPin) {
   EXPECT_EQ(torn.status().code(), StatusCode::kCorruptHeader);
   EXPECT_EQ(pool.counters().failed_reads, 1u);
   EXPECT_EQ(schedule.counters().torn_pages, 1u);
+}
+
+/// N threads pin the same absent page while its read is in flight: the
+/// page is read once, the other N-1 pins wait for the loading frame and
+/// count as hits, and all N share the one frame.
+TEST(BufferPoolTest, ConcurrentPinsOfALoadingPageReadItOnce) {
+  constexpr int kThreads = 6;
+  GatedSource source(64, 8, 5);
+  BufferPool pool(source, 4, EvictionPolicy::kLru);
+
+  std::vector<BufferPool::Pinned> pins(kThreads);
+  std::vector<int> good(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      auto pin = pool.Pin(5);
+      if (!pin.ok()) return;
+      good[t] = source.PageBytesCorrect(5, pin->data()) ? 1 : 0;
+      pins[t] = *std::move(pin);
+    });
+  }
+  source.WaitForReads(1);
+  LetPinsQueue();
+  // The loading frame is pinned and mapped before its bytes arrive.
+  EXPECT_EQ(pool.pinned_pages(), 1u);
+  EXPECT_EQ(pool.resident_pages(), 1u);
+  source.Open();
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(source.reads(), 1);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(good[t], 1) << "thread " << t;
+    EXPECT_EQ(pins[t].data(), pins[0].data()) << "thread " << t;
+  }
+  const PoolCounters c = pool.counters();
+  EXPECT_EQ(c.misses, 1u);
+  EXPECT_EQ(c.hits, static_cast<std::uint64_t>(kThreads - 1));
+  EXPECT_EQ(c.bytes_read, 64u);
+  EXPECT_EQ(c.failed_reads, 0u);
+  pins.clear();
+  EXPECT_EQ(pool.pinned_pages(), 0u);
+}
+
+/// A gated read that fails wakes the pins waiting on it: the loader gets
+/// the error, the failure is counted, the frame is freed, and the waiters
+/// retry on their own, so exactly one of them reads the page again.
+TEST(BufferPoolTest, FailedLoadWakesWaitersAndLeaksNoFrame) {
+  constexpr int kThreads = 6;
+  GatedSource source(64, 8, 2);
+  source.FailNextReads(1);
+  BufferPool pool(source, 4, EvictionPolicy::kLru);
+
+  std::vector<BufferPool::Pinned> pins(kThreads);
+  std::vector<StatusCode> codes(kThreads, StatusCode::kOk);
+  std::vector<int> good(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      auto pin = pool.Pin(2);
+      if (!pin.ok()) {
+        codes[t] = pin.status().code();
+        return;
+      }
+      good[t] = source.PageBytesCorrect(2, pin->data()) ? 1 : 0;
+      pins[t] = *std::move(pin);
+    });
+  }
+  source.WaitForReads(1);
+  LetPinsQueue();
+  source.Open();
+  for (std::thread& t : threads) t.join();
+
+  int failed = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    if (codes[t] != StatusCode::kOk) {
+      ++failed;
+      EXPECT_EQ(codes[t], StatusCode::kIoError) << "thread " << t;
+    } else {
+      EXPECT_EQ(good[t], 1) << "thread " << t;
+    }
+  }
+  EXPECT_EQ(failed, 1);
+  EXPECT_EQ(source.reads(), 2) << "one failed read, one retry by a waiter";
+  const PoolCounters c = pool.counters();
+  EXPECT_EQ(c.failed_reads, 1u);
+  EXPECT_EQ(c.misses, 1u);
+  EXPECT_EQ(c.hits, static_cast<std::uint64_t>(kThreads - 2));
+  pins.clear();
+  EXPECT_EQ(pool.pinned_pages(), 0u);
+  EXPECT_EQ(pool.resident_pages(), 1u);
+}
+
+/// A loading frame is pinned by its loader: with one frame pinned and the
+/// other loading, a pin of a third page fails at once with the capacity
+/// error instead of waiting or evicting the frame being read.
+TEST(BufferPoolTest, LoadingFramesCountTowardCapacity) {
+  GatedSource source(64, 8, 1);
+  BufferPool pool(source, 2, EvictionPolicy::kLru);
+
+  auto held = pool.Pin(0);
+  ASSERT_TRUE(held.ok());
+  StatusOr<BufferPool::Pinned> loading = Status::Internal("not run");
+  std::thread loader([&] { loading = pool.Pin(1); });
+  source.WaitForReads(1);
+
+  EXPECT_EQ(pool.pinned_pages(), 2u);
+  auto third = pool.Pin(2);
+  ASSERT_FALSE(third.ok());
+  EXPECT_EQ(third.status().code(), StatusCode::kInvalidArgument);
+
+  source.Open();
+  loader.join();
+  ASSERT_TRUE(loading.ok()) << loading.status().message();
+  EXPECT_TRUE(source.PageBytesCorrect(1, loading->data()));
+  loading->Release();
+  auto after = pool.Pin(2);
+  ASSERT_TRUE(after.ok()) << after.status().message();
+  EXPECT_EQ(pool.counters().misses, 3u);
 }
 
 /// Property: across a random pin/hold/release workload far larger than the

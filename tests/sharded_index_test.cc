@@ -3,7 +3,8 @@
 /// delta segment (inserts + tombstones) visible to queries without a
 /// rebuild, compaction publishing a new generation (including crash
 /// injection at the swap point — the previous generation must survive),
-/// the background compactor, and concurrent queries during mutation.
+/// the background compactor, concurrent queries during mutation, and the
+/// serial scan's page hold across shard boundaries and delta rows.
 
 #include "src/index/sharded_index.h"
 
@@ -16,6 +17,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +28,7 @@
 #include "src/core/status.h"
 #include "src/index/delta.h"
 #include "src/index/index_io.h"
+#include "src/obs/metrics.h"
 #include "src/storage/manifest.h"
 #include "tests/testing/legacy_ridx.h"
 
@@ -187,6 +190,80 @@ TEST_F(ShardedIndexTest, TombstonesHideShardAndDeltaRows) {
   EXPECT_EQ(index.Remove(1000).code(), StatusCode::kOutOfRange);
   EXPECT_TRUE(index.Remove(2).ok());
   EXPECT_EQ(index.live_size(), 7u);
+}
+
+/// A serial query runs one engine over the SnapshotView, whose page hold
+/// follows the scan from shard to shard and past the delta rows: each
+/// live shard page is pinned once (a page whose rows are all tombstoned
+/// not at all), and FetchStats are those of one pin per row — fetches =
+/// live shard rows, page_reads = pages touched, pool_hits = rows - pages.
+TEST_F(ShardedIndexTest, SerialScanPinsEachLiveShardPageOnce) {
+  // 16 doubles = 128 bytes: four rows per 512-byte page.
+  const std::string path = BuildShardSet(dir_, {6, 9, 5}, 16);
+  ShardedOptions options;
+  options.parallel_search = false;
+  const Series query = MakeRow(11, 16);
+
+  for (int kind = 0; kind < 3; ++kind) {
+    SCOPED_TRACE("query kind " + std::to_string(kind));
+    // Reopened per query, so every shard pool starts cold.
+    StatusOr<std::unique_ptr<ShardedIndex>> opened =
+        ShardedIndex::Open(path, options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    ShardedIndex& index = **opened;
+    // Rows 4 and 5 fill shard 0's second page; row 10 shares a page of
+    // shard 1 with live rows.
+    for (const std::uint64_t id : {4u, 5u, 10u}) {
+      ASSERT_TRUE(index.Remove(id).ok());
+    }
+    for (std::size_t d = 0; d < 3; ++d) {
+      ASSERT_TRUE(index.Insert(MakeRow(100 + d, 16)).ok());
+    }
+
+    const std::shared_ptr<const ShardedSnapshot> snap = index.Snapshot();
+    std::uint64_t rows = 0;
+    std::uint64_t pages = 0;
+    for (std::size_t s = 0; s < snap->shards.size(); ++s) {
+      const storage::IndexFile& file = snap->shards[s]->file();
+      std::set<std::uint64_t> touched;
+      for (const std::size_t row : snap->shard_live[s]) {
+        touched.insert(file.extent(row).offset / file.page_size_bytes());
+      }
+      rows += snap->shard_live[s].size();
+      pages += touched.size();
+    }
+    ASSERT_EQ(rows, 17u);
+    ASSERT_EQ(pages, 6u);
+
+    obs::QueryMetrics metrics;
+    if (kind == 0) {
+      StatusOr<ScanResult> hit = index.Search(query, &metrics);
+      ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+      EXPECT_EQ(hit->best_index, 11);
+    } else if (kind == 1) {
+      auto knn = index.Knn(query, 3, nullptr, &metrics);
+      ASSERT_TRUE(knn.ok()) << knn.status().ToString();
+      EXPECT_EQ(knn->size(), 3u);
+    } else {
+      auto range = index.Range(query, 1e9, nullptr, &metrics);
+      ASSERT_TRUE(range.ok()) << range.status().ToString();
+      EXPECT_EQ(range->size(), index.live_size()) << "delta rows included";
+    }
+
+    const obs::StageStats& io = metrics.stage(obs::StageId::kDiskFetch);
+    EXPECT_EQ(metrics.index.object_fetches, rows);
+    EXPECT_EQ(io.pages_read, pages);
+    EXPECT_EQ(io.pool_hits, rows - pages);
+    storage::PoolCounters total;
+    for (const auto& shard : snap->shards) {
+      const storage::PoolCounters c = shard->pool().counters();
+      total.hits += c.hits;
+      total.misses += c.misses;
+      EXPECT_EQ(shard->pool().pinned_pages(), 0u);
+    }
+    EXPECT_EQ(total.misses, pages);
+    EXPECT_EQ(total.hits, 0u) << "each live shard page must be pinned once";
+  }
 }
 
 TEST_F(ShardedIndexTest, CompactionFoldsDeltaAndRenumbers) {

@@ -224,7 +224,7 @@ TEST(FileBackendRetryTest, BurstsBeyondTheBudgetSurfaceTyped) {
 
   // Unchecked Fetch latches; ClearError consumes the latch.
   FetchStats unchecked;
-  const SeriesHandle bad = (*backend)->Fetch(0, &unchecked);
+  const SeriesHandle bad = (*backend)->Fetch(0, &unchecked, nullptr);
   EXPECT_FALSE(bad.valid());
   EXPECT_FALSE((*backend)->error().ok());
   (*backend)->ClearError();

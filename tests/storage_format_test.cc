@@ -219,7 +219,7 @@ TEST(StorageFormatTest, DataPageChecksumMismatchSurfacesOnRead) {
 
   // Unchecked fetch path: invalid handle + latched error.
   EXPECT_TRUE(backend->error().ok());
-  const SeriesHandle h = backend->Fetch(0, &io);
+  const SeriesHandle h = backend->Fetch(0, &io, nullptr);
   EXPECT_FALSE(h.valid());
   EXPECT_FALSE(backend->error().ok());
 }
@@ -411,11 +411,21 @@ TEST(StorageFormatTest, ExtensionHeaderCorruptionTaxonomy) {
         << parsed.status().message();
   }
   {
-    // Truncation inside the extension header is reported as such.
-    const auto parsed =
-        IndexFile::FromMemory(image.substr(0, kIndexHeaderBytes + 40));
-    ASSERT_FALSE(parsed.ok());
-    EXPECT_EQ(parsed.status().code(), StatusCode::kTruncated);
+    // Truncation inside the extension header is reported as such, naming
+    // the file's own version: v3 for a fresh image, v2 for a legacy one.
+    const struct {
+      std::string image;
+      const char* message;
+    } cut[] = {{image, "file ends inside the v3 extension header"},
+               {testing::LegacyRidxV2Image(),
+                "file ends inside the v2 extension header"}};
+    for (const auto& c : cut) {
+      const auto parsed =
+          IndexFile::FromMemory(c.image.substr(0, kIndexHeaderBytes + 40));
+      ASSERT_FALSE(parsed.ok());
+      EXPECT_EQ(parsed.status().code(), StatusCode::kTruncated);
+      EXPECT_EQ(parsed.status().message(), c.message);
+    }
   }
 }
 

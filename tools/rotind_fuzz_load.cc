@@ -22,6 +22,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -125,8 +126,9 @@ void ExerciseParsers(const std::uint8_t* data, std::size_t size) {
   // FromMemory must map every byte string to a Status or a fully usable
   // IndexFile — and "usable" is exercised here: every page is read back
   // (checksum verification path) and every object is fetched through a
-  // deliberately tiny BufferPool (eviction + pin churn), all of which must
-  // return Status, never crash.
+  // deliberately tiny BufferPool (eviction + pin churn), once as an owned
+  // copy and once in storage order through one PageHold (the in-place
+  // path a scan takes), all of which must return Status, never crash.
   StatusOr<std::unique_ptr<storage::IndexFile>> ridx =
       storage::IndexFile::FromMemory(std::string(bytes, size));
   if (ridx.ok()) {
@@ -143,6 +145,24 @@ void ExerciseParsers(const std::uint8_t* data, std::size_t size) {
       for (std::size_t i = 0; i < backend->size(); ++i) {
         (void)backend->TryFetch(i, &io);
       }
+      // Storage order: ascending catalog offset, as an id-order scan
+      // visits a well-formed file. Reading each row's first and last value
+      // puts every borrowed pointer under the sanitizers.
+      std::vector<std::size_t> order(backend->size());
+      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+      std::stable_sort(order.begin(), order.end(),
+                       [&](std::size_t a, std::size_t b) {
+                         return backend->file().extent(a).offset <
+                                backend->file().extent(b).offset;
+                       });
+      storage::PageHold hold;
+      double sink = 0.0;
+      for (const std::size_t i : order) {
+        const storage::SeriesHandle h = backend->Fetch(i, &io, &hold);
+        if (h.valid()) sink += h.data()[0] + h.data()[h.length() - 1];
+      }
+      (void)backend->error();
+      (void)sink;
     }
   }
 }
