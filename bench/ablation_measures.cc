@@ -36,33 +36,33 @@ int Run() {
   {
     const double brute =
         BruteStepsPerComparison(n, n, DistanceKind::kEuclidean, 0);
-    ScanOptions ed;
-    const double wedge = AverageStepsPerComparison(
-        db, m, queries, ScanAlgorithm::kWedge, ed);
+    EngineOptions ed;
+    ed.cascade.stages = {StageKind::kWedge};
+    const double wedge = AverageStepsPerComparison(db, m, queries, ed);
     std::printf("  %-22s %12.1f steps/cmp   %.6f of its brute force\n",
                 "Euclidean wedge", wedge, wedge / brute);
   }
   {
     const double brute = BruteStepsPerComparison(n, n, DistanceKind::kDtw, 5);
-    ScanOptions dtw;
+    EngineOptions dtw;
     dtw.kind = DistanceKind::kDtw;
     dtw.band = 5;
-    const double wedge = AverageStepsPerComparison(
-        db, m, queries, ScanAlgorithm::kWedge, dtw);
+    dtw.cascade.stages = {StageKind::kWedge};
+    const double wedge = AverageStepsPerComparison(db, m, queries, dtw);
     std::printf("  %-22s %12.1f steps/cmp   %.6f of its brute force\n",
                 "DTW (R=5) wedge", wedge, wedge / brute);
   }
   // LCSS rides the same engine cascade as ED and DTW now (kind = kLcss):
   // wedge composition vs its own brute-force rotation scan.
   {
-    ScanOptions lcss;
+    EngineOptions lcss;
     lcss.kind = DistanceKind::kLcss;
     lcss.lcss.epsilon = 0.25;
     lcss.lcss.delta = 5;
-    const double wedge_steps = AverageStepsPerComparison(
-        db, m, queries, ScanAlgorithm::kWedge, lcss);
-    const double brute_steps = AverageStepsPerComparison(
-        db, m, queries, ScanAlgorithm::kBruteForce, lcss);
+    lcss.cascade.stages = {StageKind::kWedge};
+    const double wedge_steps = AverageStepsPerComparison(db, m, queries, lcss);
+    lcss.cascade.stages = {StageKind::kFullScan};
+    const double brute_steps = AverageStepsPerComparison(db, m, queries, lcss);
     std::printf("  %-22s %12.1f steps/cmp   %.6f of its brute force\n",
                 "LCSS wedge", wedge_steps, wedge_steps / brute_steps);
   }

@@ -15,10 +15,11 @@
 namespace rotind::bench {
 namespace {
 
+/// Average steps per comparison of the wedge cascade under `options`.
 double RunWedge(const std::vector<Series>& db, std::size_t m,
-                const QuerySet& queries, const ScanOptions& options) {
-  return AverageStepsPerComparison(db, m, queries, ScanAlgorithm::kWedge,
-                                   options);
+                const QuerySet& queries, EngineOptions options) {
+  options.cascade.stages = {StageKind::kWedge};
+  return AverageStepsPerComparison(db, m, queries, options);
 }
 
 int Run() {
@@ -42,11 +43,11 @@ int Run() {
 
   std::printf("[1] Wedge-set size K (Euclidean)\n");
   {
-    ScanOptions options;
+    EngineOptions options;
     options.wedge.dynamic_k = true;
     report("dynamic K (paper)", RunWedge(db, m, queries, options));
     for (int k : {1, 2, 8, 32, 128, static_cast<int>(n)}) {
-      ScanOptions fixed;
+      EngineOptions fixed;
       fixed.wedge.dynamic_k = false;
       fixed.wedge.fixed_k = k;
       char label[64];
@@ -57,10 +58,10 @@ int Run() {
 
   std::printf("\n[2] Hierarchy construction (Euclidean, dynamic K)\n");
   {
-    ScanOptions clustered;
+    EngineOptions clustered;
     report("group-average clustering (paper)",
            RunWedge(db, m, queries, clustered));
-    ScanOptions contiguous;
+    EngineOptions contiguous;
     contiguous.wedge.hierarchy = WedgeHierarchy::kContiguous;
     report("contiguous binary hierarchy",
            RunWedge(db, m, queries, contiguous));
@@ -68,13 +69,13 @@ int Run() {
 
   std::printf("\n[3] Invariance options (Euclidean, dynamic K)\n");
   {
-    ScanOptions plain;
+    EngineOptions plain;
     report("rotation only", RunWedge(db, m, queries, plain));
-    ScanOptions mirror;
+    EngineOptions mirror;
     mirror.rotation.mirror = true;
     report("rotation + mirror (2x candidates)",
            RunWedge(db, m, queries, mirror));
-    ScanOptions limited;
+    EngineOptions limited;
     limited.rotation.max_shift = static_cast<int>(n * 15 / 360);  // 15 deg
     report("rotation-limited (+/-15 deg)",
            RunWedge(db, m, queries, limited));
@@ -84,14 +85,14 @@ int Run() {
   {
     const double brute_dtw =
         BruteStepsPerComparison(n, n, DistanceKind::kDtw, 5);
-    ScanOptions dtw;
+    EngineOptions dtw;
     dtw.kind = DistanceKind::kDtw;
     dtw.band = 5;
     const double dynamic = RunWedge(db, m, queries, dtw);
     std::printf("  %-34s %12.1f steps/cmp   %.6f of banded brute\n",
                 "dynamic K (paper)", dynamic, dynamic / brute_dtw);
     for (int k : {2, 32, static_cast<int>(n)}) {
-      ScanOptions fixed = dtw;
+      EngineOptions fixed = dtw;
       fixed.wedge.dynamic_k = false;
       fixed.wedge.fixed_k = k;
       const double steps = RunWedge(db, m, queries, fixed);

@@ -25,8 +25,8 @@
 #include "src/core/flat_dataset.h"
 #include "src/core/random.h"
 #include "src/core/series.h"
+#include "src/distance/rotation.h"
 #include "src/search/engine.h"
-#include "src/search/scan.h"
 
 namespace rotind::bench {
 
@@ -59,17 +59,17 @@ inline FlatDataset RestrictFlat(const std::vector<Series>& db,
   return out;
 }
 
-/// Average steps per object comparison for one rival algorithm across the
-/// query set, on the first m objects of db. Runs through the QueryEngine:
-/// the database prefix is stored once as a FlatDataset, and a query drawn
-/// from the prefix is excluded via the engine's leave-one-out scan instead
-/// of copying the database minus one item per query.
+/// Average steps per object comparison for one rival (the cascade in
+/// `options`) across the query set, on the first m objects of db. Runs
+/// through the QueryEngine: the database prefix is stored once as a
+/// FlatDataset, and a query drawn from the prefix is excluded via the
+/// engine's leave-one-out scan instead of copying the database minus one
+/// item per query.
 inline double AverageStepsPerComparison(const std::vector<Series>& db,
                                         std::size_t m, const QuerySet& queries,
-                                        ScanAlgorithm algorithm,
-                                        const ScanOptions& options) {
+                                        const EngineOptions& options) {
   const FlatDataset flat = RestrictFlat(db, m);
-  const QueryEngine engine(flat, EngineOptionsFrom(options, algorithm));
+  const QueryEngine engine(flat, options);
   const std::size_t no_holdout = flat.size();  // skips nothing
   double total = 0.0;
   std::uint64_t comparisons = 0;

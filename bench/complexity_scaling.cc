@@ -50,15 +50,14 @@ int Run() {
     const std::vector<Series> db = MakeProjectilePointsDatabase(m, n, 25);
     const QuerySet queries = PickQueries(m, num_queries, 125);
 
-    ScanOptions ed;
-    const double ed_avg = AverageStepsPerComparison(
-        db, m, queries, ScanAlgorithm::kWedge, ed);
+    EngineOptions ed;
+    ed.cascade.stages = {StageKind::kWedge};
+    const double ed_avg = AverageStepsPerComparison(db, m, queries, ed);
 
-    ScanOptions dtw;
+    EngineOptions dtw = ed;
     dtw.kind = DistanceKind::kDtw;
     dtw.band = std::max(1, static_cast<int>(n) / 50);  // ~2% band
-    const double dtw_avg = AverageStepsPerComparison(
-        db, m, queries, ScanAlgorithm::kWedge, dtw);
+    const double dtw_avg = AverageStepsPerComparison(db, m, queries, dtw);
 
     std::printf("%8zu  %16.1f  %16.1f\n", n, ed_avg, dtw_avg);
     xs.push_back(static_cast<double>(n));

@@ -37,18 +37,21 @@ int Run() {
                                           "wedge"};
   PrintHeader("relative steps per comparison (1.0 = brute force)", names);
 
-  ScanOptions options;
-  options.kind = DistanceKind::kEuclidean;
+  EngineOptions fft_options;  // Euclidean
+  fft_options.cascade.stages = {StageKind::kFftMagnitude,
+                                StageKind::kExactScan};
+  EngineOptions ea_options;
+  ea_options.cascade.stages = {StageKind::kExactScan};
+  EngineOptions wedge_options;
+  wedge_options.cascade.stages = {StageKind::kWedge};
   const double brute =
       BruteStepsPerComparison(n, n, DistanceKind::kEuclidean, 0);
 
   for (std::size_t m : sizes) {
-    const double fft = AverageStepsPerComparison(
-        db, m, queries, ScanAlgorithm::kFftLowerBound, options);
-    const double ea = AverageStepsPerComparison(
-        db, m, queries, ScanAlgorithm::kEarlyAbandon, options);
-    const double wedge = AverageStepsPerComparison(
-        db, m, queries, ScanAlgorithm::kWedge, options);
+    const double fft = AverageStepsPerComparison(db, m, queries, fft_options);
+    const double ea = AverageStepsPerComparison(db, m, queries, ea_options);
+    const double wedge =
+        AverageStepsPerComparison(db, m, queries, wedge_options);
     PrintRow(m, {1.0, fft / brute, ea / brute, wedge / brute}, names);
   }
   std::printf("\n");

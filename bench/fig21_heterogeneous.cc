@@ -38,17 +38,20 @@ int Run() {
     const std::vector<const char*> names = {"brute", "fft", "early_ab",
                                             "wedge"};
     PrintHeader("[Euclidean] relative steps per comparison", names);
-    ScanOptions options;
-    options.kind = DistanceKind::kEuclidean;
+    EngineOptions fft_options;  // Euclidean
+    fft_options.cascade.stages = {StageKind::kFftMagnitude,
+                                  StageKind::kExactScan};
+    EngineOptions ea_options;
+    ea_options.cascade.stages = {StageKind::kExactScan};
+    EngineOptions wedge_options;
+    wedge_options.cascade.stages = {StageKind::kWedge};
     const double brute =
         BruteStepsPerComparison(n, n, DistanceKind::kEuclidean, 0);
     for (std::size_t m : sizes) {
-      const double fft = AverageStepsPerComparison(
-          db, m, queries, ScanAlgorithm::kFftLowerBound, options);
-      const double ea = AverageStepsPerComparison(
-          db, m, queries, ScanAlgorithm::kEarlyAbandon, options);
-      const double wedge = AverageStepsPerComparison(
-          db, m, queries, ScanAlgorithm::kWedge, options);
+      const double fft = AverageStepsPerComparison(db, m, queries, fft_options);
+      const double ea = AverageStepsPerComparison(db, m, queries, ea_options);
+      const double wedge =
+          AverageStepsPerComparison(db, m, queries, wedge_options);
       PrintRow(m, {1.0, fft / brute, ea / brute, wedge / brute}, names);
     }
     std::printf("\n");
@@ -59,19 +62,21 @@ int Run() {
     const std::vector<const char*> names = {"brute", "brute_R5", "early_ab",
                                             "wedge"};
     PrintHeader("[DTW R=5] relative steps per comparison", names);
-    ScanOptions options;
-    options.kind = DistanceKind::kDtw;
-    options.band = band;
+    EngineOptions ea_options;
+    ea_options.kind = DistanceKind::kDtw;
+    ea_options.band = band;
+    ea_options.cascade.stages = {StageKind::kExactScan};
+    EngineOptions wedge_options = ea_options;
+    wedge_options.cascade.stages = {StageKind::kWedge};
     const double brute_full =
         BruteStepsPerComparison(n, n, DistanceKind::kDtw, -1);
     const double brute_banded =
         BruteStepsPerComparison(n, n, DistanceKind::kDtw, band);
     double last_wedge = 0.0;
     for (std::size_t m : sizes) {
-      const double ea = AverageStepsPerComparison(
-          db, m, queries, ScanAlgorithm::kEarlyAbandon, options);
-      const double wedge = AverageStepsPerComparison(
-          db, m, queries, ScanAlgorithm::kWedge, options);
+      const double ea = AverageStepsPerComparison(db, m, queries, ea_options);
+      const double wedge =
+          AverageStepsPerComparison(db, m, queries, wedge_options);
       PrintRow(m, {1.0, brute_banded / brute_full, ea / brute_full,
                    wedge / brute_full},
                names);

@@ -31,9 +31,12 @@ int Run() {
   PrintHeader("relative steps per comparison (1.0 = unconstrained brute)",
               names);
 
-  ScanOptions options;
-  options.kind = DistanceKind::kDtw;
-  options.band = band;
+  EngineOptions ea_options;
+  ea_options.kind = DistanceKind::kDtw;
+  ea_options.band = band;
+  ea_options.cascade.stages = {StageKind::kExactScan};
+  EngineOptions wedge_options = ea_options;
+  wedge_options.cascade.stages = {StageKind::kWedge};
   const double brute_full =
       BruteStepsPerComparison(n, n, DistanceKind::kDtw, -1);
   const double brute_banded =
@@ -41,10 +44,9 @@ int Run() {
 
   double last_wedge = 0.0;
   for (std::size_t m : sizes) {
-    const double ea = AverageStepsPerComparison(
-        db, m, queries, ScanAlgorithm::kEarlyAbandon, options);
-    const double wedge = AverageStepsPerComparison(
-        db, m, queries, ScanAlgorithm::kWedge, options);
+    const double ea = AverageStepsPerComparison(db, m, queries, ea_options);
+    const double wedge =
+        AverageStepsPerComparison(db, m, queries, wedge_options);
     PrintRow(m, {1.0, brute_banded / brute_full, ea / brute_full,
                  wedge / brute_full},
              names);

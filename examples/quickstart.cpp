@@ -13,6 +13,7 @@
 #include "src/core/flat_dataset.h"
 #include "src/core/random.h"
 #include "src/datasets/synthetic.h"
+#include "src/distance/rotation.h"
 #include "src/search/engine.h"
 #include "src/shape/generate.h"
 #include "src/shape/profile.h"

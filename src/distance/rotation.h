@@ -2,12 +2,14 @@
 #define ROTIND_DISTANCE_ROTATION_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "src/core/series.h"
 #include "src/core/status.h"
 #include "src/core/step_counter.h"
 #include "src/distance/lcss.h"
+#include "src/distance/measure.h"
 
 namespace rotind {
 
@@ -103,6 +105,15 @@ RotationMatch EarlyAbandonRotationDtw(const RotationSet& rots, const double* c,
 RotationMatch RotationInvariantLcss(const RotationSet& rots, const double* c,
                                     const LcssOptions& options,
                                     StepCounter* counter = nullptr);
+
+/// Closed-form step counts of the deterministic (data-independent) rivals.
+/// Brute force evaluates every cell of every rotation of every object, so
+/// its `num_steps` needs no execution; benches use this to cost the
+/// brute-force lines at paper scale without running hours of DP.
+std::uint64_t AnalyticBruteForceSteps(std::uint64_t num_objects,
+                                      std::size_t length,
+                                      std::uint64_t rotations_per_object,
+                                      DistanceKind kind, int band);
 
 /// Convenience one-shot wrappers on owned series.
 double RotationInvariantEuclidean(const Series& q, const Series& c,

@@ -17,7 +17,6 @@
 #include "src/index/index_io.h"
 #include "src/obs/metrics.h"
 #include "src/search/engine.h"
-#include "src/search/scan.h"
 #include "src/storage/backend.h"
 #include "src/storage/manifest.h"
 

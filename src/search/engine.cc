@@ -1133,31 +1133,6 @@ class RangeCollector {
 
 }  // namespace
 
-CascadeSpec CascadeSpec::ForAlgorithm(ScanAlgorithm algorithm,
-                                      DistanceKind kind) {
-  CascadeSpec spec;
-  switch (algorithm) {
-    case ScanAlgorithm::kBruteForce:
-      spec.stages = {StageKind::kFullScan};
-      break;
-    case ScanAlgorithm::kBruteForceBanded:
-      spec.stages = {StageKind::kFullScanBanded};
-      break;
-    case ScanAlgorithm::kEarlyAbandon:
-      spec.stages = {StageKind::kExactScan};
-      break;
-    case ScanAlgorithm::kFftLowerBound:
-      // Sound for Euclidean only; other measures degrade to the
-      // early-abandoning scan (the legacy behavior, now explicit).
-      spec.stages = {StageKind::kFftMagnitude, StageKind::kExactScan};
-      break;
-    case ScanAlgorithm::kWedge:
-      spec.stages = {StageKind::kWedge};
-      break;
-  }
-  return spec.Normalized(kind);
-}
-
 CascadeSpec CascadeSpec::Normalized(DistanceKind kind) const {
   CascadeSpec out;
   out.stages.clear();
@@ -1206,18 +1181,6 @@ CascadeSpec CascadeSpec::Normalized(DistanceKind kind) const {
   if (index) {
     out.stages.insert(out.stages.begin(), StageKind::kSignatureIndex);
   }
-  return out;
-}
-
-EngineOptions EngineOptionsFrom(const ScanOptions& options,
-                                ScanAlgorithm algorithm) {
-  EngineOptions out;
-  out.kind = options.kind;
-  out.band = options.band;
-  out.lcss = options.lcss;
-  out.rotation = options.rotation;
-  out.wedge = options.wedge;
-  out.cascade = CascadeSpec::ForAlgorithm(algorithm, options.kind);
   return out;
 }
 
@@ -1287,12 +1250,6 @@ QueryEngine::QueryEngine(const FlatDataset& db, const EngineOptions& options)
   InitSignatureIndex();
 }
 
-QueryEngine::QueryEngine(const std::vector<Series>& db,
-                         const EngineOptions& options)
-    : vec_(&db), options_(options) {
-  options_.cascade = options.cascade.Normalized(options.kind);
-}
-
 QueryEngine::QueryEngine(std::unique_ptr<storage::StorageBackend> backend,
                          const EngineOptions& options)
     : backend_(std::move(backend)), options_(options) {
@@ -1315,39 +1272,19 @@ StatusOr<std::unique_ptr<QueryEngine>> QueryEngine::Open(
   return std::make_unique<QueryEngine>(*std::move(backend), options);
 }
 
-std::size_t QueryEngine::database_size() const {
-  return vec_ != nullptr ? vec_->size() : backend_->size();
-}
-
-std::size_t QueryEngine::database_length() const {
-  if (vec_ != nullptr) return vec_->empty() ? 0 : (*vec_)[0].size();
-  return backend_->length();
-}
-
 const FlatDataset* QueryEngine::BlockedSource() const {
-  if (vec_ != nullptr) return nullptr;
   // Only the plain in-memory borrow qualifies: its fetches charge nothing,
   // so reading tiles directly is observationally identical. A
   // dynamic_cast, not a kind check — FaultInjectingBackend forwards the
   // inner backend_kind() while its fetches inject faults, and those must
-  // keep flowing through FetchCandidate.
+  // keep flowing through the backend's Fetch.
   const auto* mem =
       dynamic_cast<const storage::InMemoryBackend*>(backend_.get());
   return mem != nullptr ? mem->flat() : nullptr;
 }
 
-storage::SeriesHandle QueryEngine::FetchCandidate(
-    std::size_t i, storage::FetchStats* io, storage::PageHold* hold) const {
-  if (vec_ != nullptr) {
-    return storage::SeriesHandle::Borrowed((*vec_)[i].data(),
-                                           (*vec_)[i].size());
-  }
-  return backend_->Fetch(i, io, hold);
-}
-
 bool QueryEngine::BackendDoesIo() const {
-  return backend_ != nullptr &&
-         backend_->backend_kind() != storage::BackendKind::kInMemory;
+  return backend_->backend_kind() != storage::BackendKind::kInMemory;
 }
 
 void QueryEngine::InitVecSigSource() {
@@ -1471,7 +1408,7 @@ void QueryEngine::Scan(const Series& query, std::size_t holdout,
   storage::PageHold hold;
   const auto fetch = [&](std::size_t i) {
     const StageScope scope(fetch_stats, counter);
-    storage::SeriesHandle h = FetchCandidate(i, &fetch_io, &hold);
+    storage::SeriesHandle h = backend_->Fetch(i, &fetch_io, &hold);
     if (!h.valid() && outcome != nullptr) outcome->fetch_failed = true;
     return h;
   };
@@ -1545,7 +1482,7 @@ Status QueryEngine::ScanChecked(const Series& query, Status argument_error,
   // path; here it must invalidate the result. The per-query flag is
   // authoritative (the shared latch can be cleared by a concurrent
   // query's error handling); the latch is kept as a fallback detail.
-  Status io = backend_ != nullptr ? backend_->error() : Status::Ok();
+  Status io = backend_->error();
   if (outcome.fetch_failed && io.ok()) {
     io = Status::IoError("candidate fetch failed during scan");
   }
@@ -1629,17 +1566,7 @@ Status QueryEngine::ValidateQuery(const Series& query) const {
                                      " is NaN or Inf");
     }
   }
-  if (vec_ != nullptr) {
-    // Legacy storage may be ragged; name the offending item.
-    for (std::size_t i = 0; i < vec_->size(); ++i) {
-      if ((*vec_)[i].size() != query.size()) {
-        return Status::InvalidArgument(
-            "db item " + std::to_string(i) + " has length " +
-            std::to_string((*vec_)[i].size()) + ", query has length " +
-            std::to_string(query.size()));
-      }
-    }
-  } else if (database_size() > 0 && database_length() != query.size()) {
+  if (database_size() > 0 && database_length() != query.size()) {
     return Status::InvalidArgument(
         "query has length " + std::to_string(query.size()) +
         ", database items have length " + std::to_string(database_length()));

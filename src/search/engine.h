@@ -20,7 +20,6 @@
 #include "src/envelope/paa.h"
 #include "src/obs/metrics.h"
 #include "src/search/hmerge.h"
-#include "src/search/scan.h"
 #include "src/search/vptree.h"
 #include "src/storage/backend.h"
 
@@ -86,10 +85,6 @@ enum class StageKind {
 struct CascadeSpec {
   std::vector<StageKind> stages = {StageKind::kWedge};
 
-  /// The composition equivalent to one legacy ScanAlgorithm under `kind`
-  /// (e.g. kFftLowerBound + kEuclidean -> {kFftMagnitude, kExactScan}).
-  static CascadeSpec ForAlgorithm(ScanAlgorithm algorithm, DistanceKind kind);
-
   /// Returns the normalized form described above.
   CascadeSpec Normalized(DistanceKind kind) const;
 };
@@ -124,11 +119,25 @@ struct EngineOptions {
   storage::StorageOptions storage;
 };
 
-/// Maps a legacy (algorithm, options) pair onto the engine configuration
-/// that reproduces it exactly. Used by the scan.h adapters, benches, and
-/// the CLI during migration.
-EngineOptions EngineOptionsFrom(const ScanOptions& options,
-                                ScanAlgorithm algorithm);
+/// Outcome of a 1-nearest-neighbor search.
+struct ScanResult {
+  int best_index = -1;
+  double best_distance = 0.0;
+  /// Shift of the winning rotation, in [0, n).
+  int best_shift = 0;
+  /// Whether the winning alignment was against the mirrored query.
+  bool best_mirrored = false;
+  /// Work done, including setup (wedge build / query FFT).
+  StepCounter counter;
+};
+
+/// One neighbor of a k-NN / range result set.
+struct Neighbor {
+  int index = -1;
+  double distance = 0.0;
+  int shift = 0;
+  bool mirrored = false;
+};
 
 /// Runs fn(i) for every i in [0, count) across a small worker pool of
 /// `num_threads` threads (clamped to [1, count], and additionally capped at
@@ -207,9 +216,9 @@ class SharedBound {
 /// Candidate series are fetched through a storage::StorageBackend: a
 /// zero-copy in-memory borrow by default, the paper's simulated-disk
 /// accounting, or a real paged index file behind a BufferPool — selected by
-/// EngineOptions::storage. The borrowed source (FlatDataset or legacy
-/// vector<Series>) must outlive the engine. All search methods are const
-/// and thread-compatible: concurrent calls on one engine are safe because
+/// EngineOptions::storage, or any backend the caller hands in. A borrowed
+/// FlatDataset must outlive the engine. All search methods are const and
+/// thread-compatible: concurrent calls on one engine are safe because
 /// per-query state (rotation sets, wedge trees, the query's signatures) is
 /// built per call, the backends are internally synchronized, the
 /// kSignatureIndex signatures are built at construction and read-only
@@ -221,18 +230,11 @@ class SharedBound {
 /// on.
 class QueryEngine {
  public:
-  /// Engine over contiguous storage (the fast path). Honors
+  /// Engine over a borrowed FlatDataset (no copy is made). Honors
   /// options.storage for the in-memory and simulated backends; asking for
   /// the file backend here is a contract violation (open can fail) — use
   /// Open().
   explicit QueryEngine(const FlatDataset& db,
-                       const EngineOptions& options = {});
-
-  /// Non-owning adapter over legacy storage; no copy is made. Prefer
-  /// FlatDataset for cache-friendly scans. Always direct borrows
-  /// (options.storage is ignored — ragged legacy storage predates the
-  /// backend abstraction).
-  explicit QueryEngine(const std::vector<Series>& db,
                        const EngineOptions& options = {});
 
   /// Engine owning an explicit backend (the composition root for tests and
@@ -248,24 +250,21 @@ class QueryEngine {
   /// here (kInvalidArgument): an empty database, objects shorter than 2
   /// samples, dims < 1, dims beyond the n/2 spectral coefficients
   /// (kEuclidean) or the n samples (kDtw), and an index file without the
-  /// signature section the measure needs. The borrowing constructors
-  /// visit in id order instead.
+  /// signature section the measure needs. The constructors check none of
+  /// this; given such options, they visit in id order instead.
   [[nodiscard]] static StatusOr<std::unique_ptr<QueryEngine>> Open(
       const EngineOptions& options,
       const FlatDataset* in_memory_source = nullptr);
 
   /// Borrowing a temporary database would dangle immediately; forbidden.
   explicit QueryEngine(FlatDataset&&, const EngineOptions& = {}) = delete;
-  explicit QueryEngine(std::vector<Series>&&, const EngineOptions& = {}) =
-      delete;
 
   const EngineOptions& options() const { return options_; }
-  /// The storage candidates are fetched from (null only for the legacy
-  /// vector<Series> adapter).
+  /// The storage candidates are fetched from; never null.
   const storage::StorageBackend* backend() const { return backend_.get(); }
-  std::size_t database_size() const;
+  std::size_t database_size() const { return backend_->size(); }
   /// Common series length of the database (0 when empty).
-  std::size_t database_length() const;
+  std::size_t database_length() const { return backend_->length(); }
 
   /// 1-NN: the rotation-invariant nearest neighbor of `query`.
   ScanResult Search(const Series& query,
@@ -400,15 +399,10 @@ class QueryEngine {
 
   /// The FlatDataset whose SoA tiles the blocked drivers may scan
   /// directly, or nullptr when candidates must go through per-candidate
-  /// fetches (legacy vector storage, simulated/file/fault-injecting
-  /// backends — anything whose Fetch does accountable work).
+  /// fetches (simulated, file, fault-injecting and sharded-view backends —
+  /// anything whose Fetch does accountable work or may fail).
   const FlatDataset* BlockedSource() const;
 
-  /// One candidate fetch: a borrow for legacy vector storage, a backend
-  /// fetch (with I/O accounting into `io`) through the scan's page `hold`
-  /// otherwise.
-  storage::SeriesHandle FetchCandidate(std::size_t i, storage::FetchStats* io,
-                                       storage::PageHold* hold) const;
   /// True when fetches do attributable I/O (simulated or file backend) —
   /// gates the kDiskFetch stage so purely in-memory runs keep their
   /// metrics shape.
@@ -435,9 +429,8 @@ class QueryEngine {
   /// Chooses the kVecSignature row source once (called by every
   /// constructor): a FileBackend's RIDX v2 section, else an empty
   /// VecSigCache when BlockedSource() is non-null, else neither — the
-  /// simulated, fault-injecting, sharded-view and legacy vector<Series>
-  /// engines keep embedding per candidate. Only cascades that contain
-  /// kVecSignature get a source.
+  /// simulated, fault-injecting and sharded-view engines keep embedding
+  /// per candidate. Only cascades that contain kVecSignature get a source.
   void InitVecSigSource();
 
   /// The rows one query of `query_length` reads:
@@ -472,7 +465,6 @@ class QueryEngine {
   /// leave it null — the engine then visits in id order.
   void InitSignatureIndex();
 
-  const std::vector<Series>* vec_ = nullptr;
   std::unique_ptr<storage::StorageBackend> backend_;
   EngineOptions options_;
   VecSigRows stored_vec_sigs_;

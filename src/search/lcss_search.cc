@@ -1,7 +1,6 @@
 #include "src/search/lcss_search.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace rotind {
 
@@ -86,53 +85,6 @@ LcssMatchResult LcssWedgeSearcher::Match(const double* c,
                                          std::size_t best_so_far_length,
                                          StepCounter* counter) const {
   return HMergeLcss(c, tree_, wedge_set_, lcss_, best_so_far_length, counter);
-}
-
-LcssScanResult LcssSearchDatabase(const std::vector<Series>& db,
-                                  const Series& query,
-                                  const LcssOptions& options,
-                                  const RotationOptions& rotation,
-                                  bool use_wedges) {
-  LcssScanResult result;
-  const std::size_t n = query.size();
-
-  if (use_wedges) {
-    LcssWedgeSearcher searcher(query, options, rotation, &result.counter);
-    const RotationSet& rots = searcher.tree().rotations();
-    std::size_t best = 0;
-    for (std::size_t i = 0; i < db.size(); ++i) {
-      const LcssMatchResult m =
-          searcher.Match(db[i].data(), best, &result.counter);
-      if (!m.pruned && m.length > best) {
-        best = m.length;
-        result.best_index = static_cast<int>(i);
-        result.best_length = m.length;
-        result.best_shift = rots.shift_of(m.rotation_index);
-        result.best_mirrored = rots.mirrored_of(m.rotation_index);
-      }
-    }
-  } else {
-    RotationSet rots(query, rotation);
-    std::size_t best = 0;
-    for (std::size_t i = 0; i < db.size(); ++i) {
-      const RotationMatch m =
-          RotationInvariantLcss(rots, db[i].data(), options, &result.counter);
-      const std::size_t len = static_cast<std::size_t>(
-          std::llround((1.0 - m.distance) * static_cast<double>(n)));
-      if (len > best) {
-        best = len;
-        result.best_index = static_cast<int>(i);
-        result.best_length = len;
-        result.best_shift = rots.shift_of(m.rotation_index);
-        result.best_mirrored = rots.mirrored_of(m.rotation_index);
-      }
-    }
-  }
-  result.best_similarity =
-      n == 0 ? 0.0
-             : static_cast<double>(result.best_length) /
-                   static_cast<double>(n);
-  return result;
 }
 
 }  // namespace rotind

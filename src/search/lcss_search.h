@@ -75,22 +75,6 @@ class LcssWedgeSearcher {
   std::vector<int> wedge_set_;
 };
 
-/// Whole-database rotation-invariant LCSS 1-NN (highest similarity wins).
-struct LcssScanResult {
-  int best_index = -1;
-  std::size_t best_length = 0;
-  double best_similarity = 0.0;
-  int best_shift = 0;
-  bool best_mirrored = false;
-  StepCounter counter;
-};
-
-LcssScanResult LcssSearchDatabase(const std::vector<Series>& db,
-                                  const Series& query,
-                                  const LcssOptions& options,
-                                  const RotationOptions& rotation = {},
-                                  bool use_wedges = true);
-
 }  // namespace rotind
 
 #endif  // ROTIND_SEARCH_LCSS_SEARCH_H_

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "src/core/status.h"
-#include "src/search/scan.h"
+#include "src/search/engine.h"
 
 namespace rotind::serve {
 

@@ -64,9 +64,7 @@ QueryServer::QueryServer(std::shared_ptr<const QueryEngine> engine,
                          std::uint64_t generation)
     : options_(options), engine_(std::move(engine)),
       generation_(generation) {
-  ROTIND_CONTRACT(engine_ != nullptr && engine_->backend() != nullptr,
-                  "QueryServer needs an engine with a StorageBackend; the "
-                  "legacy vector adapter is not servable");
+  ROTIND_CONTRACT(engine_ != nullptr, "QueryServer needs an engine");
   ROTIND_CONTRACT(options.num_workers >= 1, "num_workers must be >= 1");
   ROTIND_CONTRACT(options.queue_capacity >= 1,
                   "queue_capacity must be >= 1");
@@ -216,9 +214,8 @@ std::uint64_t QueryServer::generation() const {
 
 Status QueryServer::SwapEngine(std::shared_ptr<const QueryEngine> next,
                                std::uint64_t generation) {
-  if (next == nullptr || next->backend() == nullptr) {
-    return Status::InvalidArgument(
-        "SwapEngine needs an engine with a StorageBackend");
+  if (next == nullptr) {
+    return Status::InvalidArgument("SwapEngine needs an engine");
   }
   {
     MutexLock lock(mutex_);

@@ -1,7 +1,7 @@
 /// Cross-feature exactness matrix: the wedge scan must agree with brute
 /// force for EVERY combination of distance kind, mirror invariance,
 /// rotation limit, and hierarchy construction — the full option space a
-/// downstream user can reach through ScanOptions.
+/// downstream user can reach through EngineOptions.
 
 #include <cmath>
 #include <tuple>
@@ -12,10 +12,14 @@
 #include "src/distance/dtw.h"
 #include "src/distance/euclidean.h"
 #include "src/distance/rotation.h"
-#include "src/search/scan.h"
+#include "src/search/engine.h"
+#include "tests/testing/flat_engine.h"
 
 namespace rotind {
 namespace {
+
+using testing::FlatEngine;
+using testing::WithStages;
 
 std::vector<Series> RandomDatabase(Rng* rng, std::size_t m, std::size_t n) {
   std::vector<Series> db(m);
@@ -40,7 +44,7 @@ TEST_P(CrossFeatureTest, WedgeScanMatchesBruteForce) {
   const std::size_t n = 26;
   const std::vector<Series> db = RandomDatabase(&rng, 18, n);
 
-  ScanOptions options;
+  EngineOptions options;
   options.kind = kind == 0 ? DistanceKind::kEuclidean : DistanceKind::kDtw;
   options.band = 3;
   options.rotation.mirror = mirror;
@@ -48,14 +52,14 @@ TEST_P(CrossFeatureTest, WedgeScanMatchesBruteForce) {
   options.wedge.hierarchy = hierarchy == 0 ? WedgeHierarchy::kClustered
                                            : WedgeHierarchy::kContiguous;
 
-  const ScanAlgorithm reference = kind == 0
-                                      ? ScanAlgorithm::kBruteForce
-                                      : ScanAlgorithm::kBruteForceBanded;
+  const FlatEngine reference(
+      db, WithStages(options, {kind == 0 ? StageKind::kFullScan
+                                         : StageKind::kFullScanBanded}));
+  const FlatEngine wedge_engine(db, WithStages(options, {StageKind::kWedge}));
   for (int trial = 0; trial < 3; ++trial) {
     const Series q = RandomDatabase(&rng, 1, n)[0];
-    const ScanResult brute = SearchDatabase(db, q, reference, options);
-    const ScanResult wedge =
-        SearchDatabase(db, q, ScanAlgorithm::kWedge, options);
+    const ScanResult brute = reference->Search(q);
+    const ScanResult wedge = wedge_engine->Search(q);
     EXPECT_EQ(wedge.best_index, brute.best_index);
     EXPECT_NEAR(wedge.best_distance, brute.best_distance, 1e-9);
     // The reported alignment must reproduce the reported distance.
@@ -82,10 +86,10 @@ TEST(CrossFeatureTest, AlignmentReportedByBruteForceAlsoReconstructs) {
   const std::size_t n = 30;
   const std::vector<Series> db = RandomDatabase(&rng, 10, n);
   const Series q = RandomDatabase(&rng, 1, n)[0];
-  ScanOptions options;
+  EngineOptions options;
   options.rotation.mirror = true;
   const ScanResult r =
-      SearchDatabase(db, q, ScanAlgorithm::kBruteForce, options);
+      FlatEngine(db, WithStages(options, {StageKind::kFullScan}))->Search(q);
   Series aligned = r.best_mirrored ? Reversed(q) : q;
   aligned = RotateLeft(aligned, r.best_shift);
   EXPECT_NEAR(

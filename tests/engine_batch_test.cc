@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "src/core/random.h"
 #include "src/datasets/synthetic.h"
 #include "src/search/engine.h"
+#include "src/storage/backend.h"
 
 namespace rotind {
 namespace {
@@ -149,18 +151,23 @@ void ExpectNeighborsEqual(const std::vector<Neighbor>& a,
 /// Concurrent first use of the vec-signature rows an in-memory engine
 /// builds on its first kVecSignature query: a fresh engine hit by 4
 /// threads at once must answer exactly as a fresh engine driven by 1
-/// thread, and as the legacy vector<Series> engine, which embeds every
+/// thread, and as an engine over the same rows behind a zero-fault
+/// FaultInjectingBackend, which hides the FlatDataset and so embeds every
 /// candidate per query. Each batch kind races its own fresh engine.
 /// Per-query counters are compared for 1-NN; the k-NN and range batches
 /// expose only their merge (the per-query sum in query order).
 TEST(EngineBatchVecSignatureTest, ConcurrentFirstUseMatchesOneThread) {
-  const std::vector<Series> items = MakeProjectilePointsDatabase(80, 48, 407);
-  const FlatDataset db = FlatDataset::FromItems(items);
+  const FlatDataset db =
+      FlatDataset::FromItems(MakeProjectilePointsDatabase(80, 48, 407));
   EngineOptions options;
   options.cascade.stages = {StageKind::kVecSignature, StageKind::kWedge};
   options.vec_sig_dims = db.length() / 2;
   const std::vector<Series> queries = MakeQueries(db, 24, 408);
-  const QueryEngine embedding(items, options);
+  const QueryEngine embedding(
+      std::make_unique<storage::FaultInjectingBackend>(
+          std::make_unique<storage::InMemoryBackend>(db),
+          storage::FaultScheduleSpec{}),
+      options);
 
   {
     const QueryEngine four(db, options);

@@ -1,9 +1,9 @@
 /// Cross-algorithm equivalence property (the paper's exactness claim,
-/// Propositions 1-2): every ScanAlgorithm and every engine cascade
-/// composition is EXACT, so on any database they must return the same
-/// best distance (and, up to ties, the same index) as brute force — for
-/// 1-NN, k-NN, and range queries, under Euclidean and DTW, with and
-/// without mirror invariance, on shapes and on light curves.
+/// Propositions 1-2): every engine cascade composition is EXACT, so on any
+/// database they must return the same best distance (and, up to ties, the
+/// same index) as brute force — for 1-NN, k-NN, and range queries, under
+/// Euclidean and DTW, with and without mirror invariance, on shapes and on
+/// light curves.
 
 #include <unistd.h>
 
@@ -20,7 +20,6 @@
 #include "src/index/sharded_index.h"
 #include "src/lightcurve/lightcurve.h"
 #include "src/search/engine.h"
-#include "src/search/scan.h"
 #include "src/storage/backend.h"
 #include "src/storage/manifest.h"
 
@@ -44,11 +43,11 @@ std::vector<Workload> MakeWorkloads() {
   return out;
 }
 
-/// All cascade compositions worth checking, beyond the legacy algorithm
-/// set: the FFT filter in front of each terminal, including the novel
-/// fft+wedge pipeline no ScanAlgorithm could express. Under DTW the
-/// unbanded kFullScan computes a genuinely different (unconstrained)
-/// distance, so the full-scan terminal is the banded one there.
+/// All cascade compositions worth checking, beyond the paper's rival
+/// scans: the FFT filter in front of each terminal, including the novel
+/// fft+wedge pipeline. Under DTW the unbanded kFullScan computes a
+/// genuinely different (unconstrained) distance, so the full-scan terminal
+/// is the banded one there.
 std::vector<CascadeSpec> MakeCascades(DistanceKind kind) {
   std::vector<CascadeSpec> out;
   out.push_back({{kind == DistanceKind::kDtw ? StageKind::kFullScanBanded
@@ -161,30 +160,30 @@ TEST_P(EngineEquivalenceTest, AllCompositionsAgreeWithBruteForce) {
         }
       }
 
-      // Every legacy ScanAlgorithm, through the public adapter, on a
-      // database with the query removed (the adapters' historical shape).
+      // The paper's rival scans over the rows with the query removed, as
+      // a plain Search instead of a leave-one-out scan.
       std::vector<Series> rest;
       for (std::size_t i = 0; i < w.items.size(); ++i) {
         if (i != qi) rest.push_back(w.items[i]);
       }
-      std::vector<ScanAlgorithm> algorithms = {
-          ScanAlgorithm::kBruteForceBanded, ScanAlgorithm::kEarlyAbandon,
-          ScanAlgorithm::kFftLowerBound, ScanAlgorithm::kWedge};
+      const FlatDataset rest_flat = FlatDataset::FromItems(rest);
+      std::vector<CascadeSpec> rivals = {
+          {{StageKind::kFullScanBanded}},
+          {{StageKind::kExactScan}},
+          {{StageKind::kFftMagnitude, StageKind::kExactScan}},
+          {{StageKind::kWedge}}};
       if (kind != DistanceKind::kDtw) {
-        // kBruteForce under DTW is the unconstrained warp — a different
+        // kFullScan under DTW is the unconstrained warp — a different
         // value than the banded reference, exact for every other kind.
-        algorithms.push_back(ScanAlgorithm::kBruteForce);
+        rivals.push_back({{StageKind::kFullScan}});
       }
-      for (ScanAlgorithm algorithm : algorithms) {
-        ScanOptions options;
-        options.kind = kind;
-        options.band = 4;
-        options.rotation.mirror = mirror;
-        const ScanResult got =
-            SearchDatabase(rest, query, algorithm, options);
+      for (const CascadeSpec& cascade : rivals) {
+        EngineOptions options = reference_options;
+        options.cascade = cascade;
+        const ScanResult got = QueryEngine(rest_flat, options).Search(query);
         EXPECT_NEAR(got.best_distance, ref.best_distance, 1e-9)
-            << w.name << "/" << DistanceKindName(kind) << " algorithm "
-            << static_cast<int>(algorithm);
+            << w.name << "/" << DistanceKindName(kind) << " rival "
+            << CascadeName(cascade);
       }
     }
   }

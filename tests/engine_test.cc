@@ -1,7 +1,6 @@
-/// QueryEngine basics: cascade normalization, storage-backend agreement,
-/// adapter parity with the legacy scan API, and the single-sourced options
-/// (the old ScanOptions::wedge kind/band/rotation footgun is now a compile
-/// error — WedgePolicy simply has no such fields).
+/// QueryEngine basics: cascade normalization, leave-one-out scans,
+/// validation, and the single-sourced options (a wedge policy cannot carry
+/// its own kind/band/rotation — WedgePolicy simply has no such fields).
 
 #include "src/search/engine.h"
 
@@ -11,10 +10,13 @@
 
 #include "src/core/flat_dataset.h"
 #include "src/datasets/synthetic.h"
-#include "src/search/scan.h"
+#include "tests/testing/flat_engine.h"
 
 namespace rotind {
 namespace {
+
+using testing::FlatEngine;
+using testing::WithStages;
 
 FlatDataset MakeDb(std::size_t m, std::size_t n, std::uint64_t seed) {
   return FlatDataset::FromItems(MakeProjectilePointsDatabase(m, n, seed));
@@ -153,47 +155,7 @@ TEST(CascadeSpecTest, SignatureIndexMovesToTheFront) {
   EXPECT_EQ(late.Normalized(DistanceKind::kEuclidean).stages.size(), 1u);
 }
 
-TEST(CascadeSpecTest, ForAlgorithmReproducesLegacyCompositions) {
-  const auto wedge =
-      CascadeSpec::ForAlgorithm(ScanAlgorithm::kWedge, DistanceKind::kDtw);
-  ASSERT_EQ(wedge.stages.size(), 1u);
-  EXPECT_EQ(wedge.stages[0], StageKind::kWedge);
-
-  const auto fft = CascadeSpec::ForAlgorithm(ScanAlgorithm::kFftLowerBound,
-                                             DistanceKind::kEuclidean);
-  ASSERT_EQ(fft.stages.size(), 2u);
-  EXPECT_EQ(fft.stages[0], StageKind::kFftMagnitude);
-  EXPECT_EQ(fft.stages[1], StageKind::kExactScan);
-
-  // Under DTW the FFT bound is unsound and degrades to the plain scan —
-  // the same behavior the legacy switch had.
-  const auto fft_dtw = CascadeSpec::ForAlgorithm(ScanAlgorithm::kFftLowerBound,
-                                                 DistanceKind::kDtw);
-  ASSERT_EQ(fft_dtw.stages.size(), 1u);
-  EXPECT_EQ(fft_dtw.stages[0], StageKind::kExactScan);
-}
-
-// --- Storage backends ------------------------------------------------------
-
-TEST(QueryEngineTest, FlatAndVectorBackendsAgreeExactly) {
-  const std::size_t n = 64;
-  const std::vector<Series> items = MakeProjectilePointsDatabase(40, n, 5);
-  const FlatDataset flat = FlatDataset::FromItems(items);
-  const Series query = items[7];
-
-  for (DistanceKind kind : {DistanceKind::kEuclidean, DistanceKind::kDtw}) {
-    EngineOptions options;
-    options.kind = kind;
-    const QueryEngine flat_engine(flat, options);
-    const QueryEngine vec_engine(items, options);
-    const ScanResult a = flat_engine.SearchLeaveOneOut(query, 7);
-    const ScanResult b = vec_engine.SearchLeaveOneOut(query, 7);
-    EXPECT_EQ(a.best_index, b.best_index);
-    EXPECT_EQ(a.best_distance, b.best_distance);
-    EXPECT_EQ(a.best_shift, b.best_shift);
-    EXPECT_EQ(a.counter.total_steps(), b.counter.total_steps());
-  }
-}
+// --- Search and leave-one-out ---------------------------------------------
 
 TEST(QueryEngineTest, SearchFindsRotatedSelf) {
   const std::size_t n = 32;
@@ -218,31 +180,6 @@ TEST(QueryEngineTest, LeaveOneOutSkipsTheHoldout) {
   EXPECT_NE(engine.SearchLeaveOneOut(query, 3).best_index, 3);
 }
 
-// --- Adapter parity --------------------------------------------------------
-
-/// The legacy scan entry points are thin adapters over the engine; the two
-/// layers must agree bit-for-bit, step counts included.
-TEST(QueryEngineTest, AdaptersMatchEngineBitForBit) {
-  const std::size_t n = 64;
-  const std::vector<Series> items = MakeProjectilePointsDatabase(30, n, 12);
-  const FlatDataset flat = FlatDataset::FromItems(items);
-  const Series query = items[0];
-
-  for (ScanAlgorithm algorithm :
-       {ScanAlgorithm::kBruteForce, ScanAlgorithm::kEarlyAbandon,
-        ScanAlgorithm::kFftLowerBound, ScanAlgorithm::kWedge}) {
-    ScanOptions options;
-    const ScanResult legacy =
-        SearchDatabase(items, query, algorithm, options);
-    const QueryEngine engine(flat, EngineOptionsFrom(options, algorithm));
-    const ScanResult direct = engine.Search(query);
-    EXPECT_EQ(legacy.best_index, direct.best_index);
-    EXPECT_EQ(legacy.best_distance, direct.best_distance);
-    EXPECT_EQ(legacy.counter.total_steps(), direct.counter.total_steps())
-        << "algorithm " << static_cast<int>(algorithm);
-  }
-}
-
 TEST(QueryEngineTest, KnnLeaveOneOutMatchesRestrictedLegacyKnn) {
   const std::size_t n = 48;
   const std::vector<Series> items = MakeProjectilePointsDatabase(25, n, 13);
@@ -251,19 +188,18 @@ TEST(QueryEngineTest, KnnLeaveOneOutMatchesRestrictedLegacyKnn) {
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (i != holdout) rest.push_back(items[i]);
   }
-  const auto legacy = KnnSearchDatabase(rest, items[holdout], 5,
-                                        ScanAlgorithm::kWedge, {});
+  const auto restricted = FlatEngine(rest)->Knn(items[holdout], 5);
   const FlatDataset flat = FlatDataset::FromItems(items);
   const QueryEngine engine(flat);
   const auto engine_knn = engine.KnnLeaveOneOut(items[holdout], 5, holdout);
-  ASSERT_EQ(legacy.size(), engine_knn.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    // Engine indexes are in full-database space; legacy ones skipped the
-    // holdout. Distances must agree exactly.
-    EXPECT_EQ(legacy[i].distance, engine_knn[i].distance) << "rank " << i;
-    const int mapped = legacy[i].index >= static_cast<int>(holdout)
-                           ? legacy[i].index + 1
-                           : legacy[i].index;
+  ASSERT_EQ(restricted.size(), engine_knn.size());
+  for (std::size_t i = 0; i < restricted.size(); ++i) {
+    // Leave-one-out indexes are in full-database space; the restricted
+    // engine's skip the holdout. Distances must agree exactly.
+    EXPECT_EQ(restricted[i].distance, engine_knn[i].distance) << "rank " << i;
+    const int mapped = restricted[i].index >= static_cast<int>(holdout)
+                           ? restricted[i].index + 1
+                           : restricted[i].index;
     EXPECT_EQ(mapped, engine_knn[i].index) << "rank " << i;
   }
 }
@@ -294,7 +230,6 @@ TEST(QueryEngineTest, CheckedKnnRejectsBadK) {
 TEST(QueryEngineTest, UncheckedKnnWithKBelowOneIsEmpty) {
   FlatDataset db = MakeDb(5, 16, 23);
   const QueryEngine engine(db);
-  const std::vector<Series> items = MakeProjectilePointsDatabase(5, 16, 23);
   const Series query(16, 0.5);
   for (const int k : {0, -1}) {
     StepCounter counter;
@@ -306,10 +241,6 @@ TEST(QueryEngineTest, UncheckedKnnWithKBelowOneIsEmpty) {
     const auto batch = engine.KnnSearchBatch({query, query}, k, 2);
     ASSERT_EQ(batch.size(), 2u) << "k=" << k;
     EXPECT_TRUE(batch[0].empty() && batch[1].empty()) << "k=" << k;
-    EXPECT_TRUE(KnnSearchDatabase(items, query, k, ScanAlgorithm::kWedge,
-                                  ScanOptions())
-                    .empty())
-        << "k=" << k;
   }
 }
 
@@ -327,34 +258,30 @@ TEST(QueryEngineTest, CheckedRangeRejectsBadRadius) {
 
 // --- Options single-sourcing (the old footgun) -----------------------------
 
-/// ScanOptions::wedge used to carry its own kind/band/rotation that the
-/// scan silently overrode. WedgePolicy has no such fields any more, so a
-/// contradiction cannot be expressed; this test documents the seam by
-/// exercising a non-default policy end to end.
+/// The measure (kind, band, rotation) lives only in EngineOptions;
+/// WedgePolicy carries genuine wedge knobs alone, so a contradiction cannot
+/// be expressed. This test documents the seam by exercising a non-default
+/// policy end to end.
 TEST(QueryEngineTest, WedgePolicyRidesAlongWithoutDuplicatingMeasure) {
   const std::size_t n = 64;
   const std::vector<Series> items = MakeProjectilePointsDatabase(30, n, 23);
-  ScanOptions options;
+  EngineOptions options;
   options.kind = DistanceKind::kDtw;
   options.band = 3;
   options.wedge.dynamic_k = false;
   options.wedge.fixed_k = 4;
-  const EngineOptions engine_options =
-      EngineOptionsFrom(options, ScanAlgorithm::kWedge);
-  EXPECT_EQ(engine_options.kind, DistanceKind::kDtw);
-  EXPECT_EQ(engine_options.band, 3);
-  EXPECT_FALSE(engine_options.wedge.dynamic_k);
 
-  // And the composed search still agrees with brute force.
+  // The composed search agrees with brute force.
   const FlatDataset flat = FlatDataset::FromItems(items);
-  const QueryEngine engine(flat, engine_options);
+  const QueryEngine engine(flat, options);
   const ScanResult wedge = engine.SearchLeaveOneOut(items[2], 2);
   std::vector<Series> rest;
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (i != 2) rest.push_back(items[i]);
   }
   const ScanResult ref =
-      SearchDatabase(rest, items[2], ScanAlgorithm::kBruteForceBanded, options);
+      FlatEngine(rest, WithStages(options, {StageKind::kFullScanBanded}))
+          ->Search(items[2]);
   EXPECT_DOUBLE_EQ(wedge.best_distance, ref.best_distance);
 }
 

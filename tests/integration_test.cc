@@ -10,12 +10,15 @@
 #include "src/core/random.h"
 #include "src/distance/rotation.h"
 #include "src/search/engine.h"
-#include "src/search/scan.h"
 #include "src/shape/generate.h"
 #include "src/shape/profile.h"
+#include "tests/testing/flat_engine.h"
 
 namespace rotind {
 namespace {
+
+using testing::FlatEngine;
+using testing::WithStages;
 
 TEST(IntegrationTest, RasterShapeRetrievalUnderRotation) {
   // Build a database of rasterised shapes; query with a rotated bitmap of
@@ -35,11 +38,15 @@ TEST(IntegrationTest, RasterShapeRetrievalUnderRotation) {
   const Series query = ShapeToSeries(bitmaps[5].Rotated(1.1), n);
   ASSERT_FALSE(query.empty());
 
-  for (ScanAlgorithm algo :
-       {ScanAlgorithm::kBruteForce, ScanAlgorithm::kEarlyAbandon,
-        ScanAlgorithm::kFftLowerBound, ScanAlgorithm::kWedge}) {
-    const ScanResult r = SearchDatabase(db, query, algo, ScanOptions{});
-    EXPECT_EQ(r.best_index, 5) << "algo=" << static_cast<int>(algo);
+  for (const std::vector<StageKind>& stages :
+       {std::vector<StageKind>{StageKind::kFullScan},
+        std::vector<StageKind>{StageKind::kExactScan},
+        std::vector<StageKind>{StageKind::kFftMagnitude,
+                               StageKind::kExactScan},
+        std::vector<StageKind>{StageKind::kWedge}}) {
+    const ScanResult r = FlatEngine(db, WithStages({}, stages))->Search(query);
+    EXPECT_EQ(r.best_index, 5)
+        << "first stage " << static_cast<int>(stages[0]);
   }
 }
 
@@ -59,6 +66,7 @@ TEST(IntegrationTest, IndexAgreesWithScanOnRasterShapes) {
   options.index_dims = 8;
   options.cascade.stages = {StageKind::kSignatureIndex, StageKind::kWedge};
   const QueryEngine index(flat, options);
+  const QueryEngine scan(flat);  // wedge cascade, id order
 
   for (int trial = 0; trial < 4; ++trial) {
     Series q = RotateLeft(db[rng.NextBounded(db.size())],
@@ -66,8 +74,7 @@ TEST(IntegrationTest, IndexAgreesWithScanOnRasterShapes) {
     for (double& v : q) v += rng.Gaussian(0.0, 0.02);
     ZNormalize(&q);
     const ScanResult via_index = index.Search(q);
-    const auto via_scan =
-        SearchDatabase(db, q, ScanAlgorithm::kWedge, ScanOptions{});
+    const ScanResult via_scan = scan.Search(q);
     EXPECT_EQ(via_index.best_index, via_scan.best_index);
     EXPECT_NEAR(via_index.best_distance, via_scan.best_distance, 1e-9);
   }
@@ -110,17 +117,15 @@ TEST(IntegrationTest, MirrorInvarianceMatchesEnantiomorphicSkull) {
   }
   db.push_back(facing_left);
 
-  ScanOptions with_mirror;
+  EngineOptions with_mirror;
   with_mirror.rotation.mirror = true;
-  const ScanResult hit =
-      SearchDatabase(db, skull, ScanAlgorithm::kWedge, with_mirror);
+  const ScanResult hit = FlatEngine(db, with_mirror)->Search(skull);
   EXPECT_EQ(hit.best_index, 10);
   EXPECT_NEAR(hit.best_distance, 0.0, 1e-9);
   EXPECT_TRUE(hit.best_mirrored);
 
   // Without mirror invariance, the reversed skull is NOT a perfect match.
-  const ScanResult miss =
-      SearchDatabase(db, skull, ScanAlgorithm::kWedge, ScanOptions{});
+  const ScanResult miss = FlatEngine(db)->Search(skull);
   EXPECT_GT(miss.best_distance, 0.1);
 }
 
@@ -155,15 +160,16 @@ TEST(IntegrationTest, DtwPipelineHandlesWarpedRotatedShapes) {
   q = AddNoise(q, &rng, 0.03);
   ZNormalize(&q);
 
-  ScanOptions options;
+  EngineOptions options;
   options.kind = DistanceKind::kDtw;
   options.band = 4;
-  const ScanResult r = SearchDatabase(db, q, ScanAlgorithm::kWedge, options);
+  const ScanResult r = FlatEngine(db, options)->Search(q);  // wedge
   EXPECT_EQ(r.best_index, 7);
 
   // And the full scan agrees.
   const ScanResult brute =
-      SearchDatabase(db, q, ScanAlgorithm::kBruteForceBanded, options);
+      FlatEngine(db, WithStages(options, {StageKind::kFullScanBanded}))
+          ->Search(q);
   EXPECT_EQ(brute.best_index, r.best_index);
   EXPECT_NEAR(brute.best_distance, r.best_distance, 1e-9);
 }

@@ -1,11 +1,19 @@
 #include "src/search/lcss_search.h"
 
+#include <cmath>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/core/random.h"
+#include "src/search/engine.h"
+#include "tests/testing/flat_engine.h"
 
 namespace rotind {
 namespace {
+
+using testing::FlatEngine;
+using testing::WithStages;
 
 Series RandomSeries(Rng* rng, std::size_t n) {
   Series s(n);
@@ -100,6 +108,22 @@ TEST(LcssWedgeSearcherTest, PrunesAgainstBestSoFar) {
   EXPECT_TRUE(m.pruned);
 }
 
+/// Whole-database LCSS 1-NN runs through QueryEngine with kind = kLcss
+/// and one terminal: the wedge ({kWedge}) or the full rotation scan
+/// ({kFullScan}). The engine reports the LCSS distance 1 - length/n.
+EngineOptions LcssEngineOptions(const LcssOptions& lcss, StageKind terminal) {
+  EngineOptions options;
+  options.kind = DistanceKind::kLcss;
+  options.lcss = lcss;
+  return WithStages(options, {terminal});
+}
+
+/// The LCSS length behind an engine result's distance.
+std::size_t LcssLengthOf(const ScanResult& r, std::size_t n) {
+  return static_cast<std::size_t>(
+      std::llround((1.0 - r.best_distance) * static_cast<double>(n)));
+}
+
 TEST(LcssSearchDatabaseTest, WedgeAndBruteForceAgree) {
   Rng rng(6);
   const std::size_t n = 28;
@@ -110,11 +134,12 @@ TEST(LcssSearchDatabaseTest, WedgeAndBruteForceAgree) {
   options.epsilon = 0.5;
   options.delta = 4;
 
-  const LcssScanResult wedge =
-      LcssSearchDatabase(db, q, options, {}, /*use_wedges=*/true);
-  const LcssScanResult brute =
-      LcssSearchDatabase(db, q, options, {}, /*use_wedges=*/false);
-  EXPECT_EQ(wedge.best_length, brute.best_length);
+  const ScanResult wedge =
+      FlatEngine(db, LcssEngineOptions(options, StageKind::kWedge))->Search(q);
+  const ScanResult brute =
+      FlatEngine(db, LcssEngineOptions(options, StageKind::kFullScan))
+          ->Search(q);
+  EXPECT_EQ(LcssLengthOf(wedge, n), LcssLengthOf(brute, n));
   // Ties between objects are broken by scan order in both paths.
   EXPECT_EQ(wedge.best_index, brute.best_index);
 }
@@ -134,12 +159,13 @@ TEST(LcssSearchDatabaseTest, WedgeSavesStepsWhenAGoodMatchExists) {
   LcssOptions options;
   options.epsilon = 0.2;
   options.delta = 2;
-  const LcssScanResult wedge =
-      LcssSearchDatabase(db, q, options, {}, /*use_wedges=*/true);
-  const LcssScanResult brute =
-      LcssSearchDatabase(db, q, options, {}, /*use_wedges=*/false);
+  const ScanResult wedge =
+      FlatEngine(db, LcssEngineOptions(options, StageKind::kWedge))->Search(q);
+  const ScanResult brute =
+      FlatEngine(db, LcssEngineOptions(options, StageKind::kFullScan))
+          ->Search(q);
   EXPECT_EQ(wedge.best_index, 0);
-  EXPECT_EQ(wedge.best_length, brute.best_length);
+  EXPECT_EQ(LcssLengthOf(wedge, n), LcssLengthOf(brute, n));
   EXPECT_LT(wedge.counter.total_steps(), brute.counter.total_steps() / 2);
 }
 
@@ -158,9 +184,10 @@ TEST(LcssSearchDatabaseTest, FindsPlantedRotatedOccludedMatch) {
   LcssOptions options;
   options.epsilon = 0.15;
   options.delta = 2;
-  const LcssScanResult r = LcssSearchDatabase(db, q, options);
+  const ScanResult r =
+      FlatEngine(db, LcssEngineOptions(options, StageKind::kWedge))->Search(q);
   EXPECT_EQ(r.best_index, 6);
-  EXPECT_GE(r.best_similarity, 0.8);  // 52 of 60 points still match
+  EXPECT_GE(1.0 - r.best_distance, 0.8);  // 52 of 60 points still match
   EXPECT_EQ(r.best_shift, 23);
 }
 
@@ -175,11 +202,11 @@ TEST(LcssSearchDatabaseTest, MirrorOptionWorks) {
   LcssOptions options;
   options.epsilon = 1e-9;
   options.delta = 0;
-  RotationOptions mirror;
-  mirror.mirror = true;
-  const LcssScanResult r = LcssSearchDatabase(db, q, options, mirror);
+  EngineOptions mirror = LcssEngineOptions(options, StageKind::kWedge);
+  mirror.rotation.mirror = true;
+  const ScanResult r = FlatEngine(db, mirror)->Search(q);
   EXPECT_EQ(r.best_index, 3);
-  EXPECT_EQ(r.best_length, n);
+  EXPECT_EQ(LcssLengthOf(r, n), n);
   EXPECT_TRUE(r.best_mirrored);
 }
 

@@ -77,7 +77,7 @@ TEST(RotindLintTest, DetectsSeededLayeringViolation) {
 TEST(RotindLintTest, AllowsDagEdgesAndSelfIncludes) {
   const std::vector<SourceFile> files = {
       {"src/search/ok.cc",
-       "#include \"src/search/scan.h\"\n"
+       "#include \"src/search/engine.h\"\n"
        "#include \"src/envelope/wedge_tree.h\"\n"
        "#include \"src/fourier/spectral.h\"\n"
        "#include \"src/core/status.h\"\n"},

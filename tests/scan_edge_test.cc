@@ -1,16 +1,21 @@
-/// Edge-case and option-combination coverage for the scan layer, beyond
-/// the rival-agreement suites in scan_test.cc.
+/// Edge-case and option-combination coverage for QueryEngine scans over a
+/// FlatDataset, beyond the rival-agreement suites in scan_test.cc.
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/core/random.h"
 #include "src/core/step_counter.h"
-#include "src/search/scan.h"
+#include "src/search/engine.h"
+#include "tests/testing/flat_engine.h"
 
 namespace rotind {
 namespace {
+
+using testing::FlatEngine;
+using testing::WithStages;
 
 std::vector<Series> RandomDatabase(Rng* rng, std::size_t m, std::size_t n) {
   std::vector<Series> db(m);
@@ -28,15 +33,18 @@ TEST(ScanEdgeTest, FftAlgorithmUnderDtwIsStillExact) {
   Rng rng(1);
   const std::size_t n = 24;
   const auto db = RandomDatabase(&rng, 20, n);
-  ScanOptions options;
+  EngineOptions options;
   options.kind = DistanceKind::kDtw;
   options.band = 3;
+  const FlatEngine banded(db,
+                          WithStages(options, {StageKind::kFullScanBanded}));
+  const FlatEngine fft_scan(
+      db, WithStages(options,
+                     {StageKind::kFftMagnitude, StageKind::kExactScan}));
   for (int trial = 0; trial < 3; ++trial) {
     Series q = RandomDatabase(&rng, 1, n)[0];
-    const ScanResult reference =
-        SearchDatabase(db, q, ScanAlgorithm::kBruteForceBanded, options);
-    const ScanResult fft =
-        SearchDatabase(db, q, ScanAlgorithm::kFftLowerBound, options);
+    const ScanResult reference = banded->Search(q);
+    const ScanResult fft = fft_scan->Search(q);
     EXPECT_EQ(fft.best_index, reference.best_index);
     EXPECT_NEAR(fft.best_distance, reference.best_distance, 1e-9);
   }
@@ -46,10 +54,13 @@ TEST(ScanEdgeTest, SingleObjectDatabase) {
   Rng rng(2);
   const auto db = RandomDatabase(&rng, 1, 16);
   const Series q = RandomDatabase(&rng, 1, 16)[0];
-  for (ScanAlgorithm algo :
-       {ScanAlgorithm::kBruteForce, ScanAlgorithm::kEarlyAbandon,
-        ScanAlgorithm::kFftLowerBound, ScanAlgorithm::kWedge}) {
-    const ScanResult r = SearchDatabase(db, q, algo, ScanOptions{});
+  for (const std::vector<StageKind>& stages :
+       {std::vector<StageKind>{StageKind::kFullScan},
+        std::vector<StageKind>{StageKind::kExactScan},
+        std::vector<StageKind>{StageKind::kFftMagnitude,
+                               StageKind::kExactScan},
+        std::vector<StageKind>{StageKind::kWedge}}) {
+    const ScanResult r = FlatEngine(db, WithStages({}, stages))->Search(q);
     EXPECT_EQ(r.best_index, 0);
     EXPECT_TRUE(std::isfinite(r.best_distance));
   }
@@ -59,10 +70,9 @@ TEST(ScanEdgeTest, KnnWithKOneMatchesSearch) {
   Rng rng(3);
   const auto db = RandomDatabase(&rng, 25, 20);
   const Series q = RandomDatabase(&rng, 1, 20)[0];
-  const ScanResult nn =
-      SearchDatabase(db, q, ScanAlgorithm::kWedge, ScanOptions{});
-  const auto knn =
-      KnnSearchDatabase(db, q, 1, ScanAlgorithm::kWedge, ScanOptions{});
+  const FlatEngine engine(db);  // wedge cascade
+  const ScanResult nn = engine->Search(q);
+  const auto knn = engine->Knn(q, 1);
   ASSERT_EQ(knn.size(), 1u);
   EXPECT_EQ(knn[0].index, nn.best_index);
   EXPECT_NEAR(knn[0].distance, nn.best_distance, 1e-9);
@@ -73,8 +83,7 @@ TEST(ScanEdgeTest, RangeSearchRadiusZeroFindsExactDuplicates) {
   auto db = RandomDatabase(&rng, 10, 24);
   const Series q = RandomDatabase(&rng, 1, 24)[0];
   db[6] = RotateLeft(q, 5);  // exact rotated duplicate
-  const auto hits =
-      RangeSearchDatabase(db, q, 0.0, ScanAlgorithm::kWedge, ScanOptions{});
+  const auto hits = FlatEngine(db)->Range(q, 0.0);
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].index, 6);
   EXPECT_NEAR(hits[0].distance, 0.0, 1e-12);
@@ -84,8 +93,7 @@ TEST(ScanEdgeTest, RangeSearchHugeRadiusReturnsEverything) {
   Rng rng(5);
   const auto db = RandomDatabase(&rng, 12, 16);
   const Series q = RandomDatabase(&rng, 1, 16)[0];
-  const auto hits = RangeSearchDatabase(db, q, 1e6, ScanAlgorithm::kWedge,
-                                        ScanOptions{});
+  const auto hits = FlatEngine(db)->Range(q, 1e6);
   EXPECT_EQ(hits.size(), db.size());
   // Sorted ascending.
   for (std::size_t i = 1; i < hits.size(); ++i) {
@@ -101,14 +109,14 @@ TEST(ScanEdgeTest, MirrorPlusRotationLimitedCombination) {
   // A mirrored copy at a small shift: findable only with BOTH options.
   db[8] = RotateLeft(Reversed(q), 2);
 
-  ScanOptions options;
+  EngineOptions options;
   options.rotation.mirror = true;
   options.rotation.max_shift = 3;
-  for (ScanAlgorithm algo : {ScanAlgorithm::kBruteForce,
-                             ScanAlgorithm::kEarlyAbandon,
-                             ScanAlgorithm::kWedge}) {
-    const ScanResult r = SearchDatabase(db, q, algo, options);
-    EXPECT_EQ(r.best_index, 8) << static_cast<int>(algo);
+  for (StageKind terminal :
+       {StageKind::kFullScan, StageKind::kExactScan, StageKind::kWedge}) {
+    const ScanResult r =
+        FlatEngine(db, WithStages(options, {terminal}))->Search(q);
+    EXPECT_EQ(r.best_index, 8) << static_cast<int>(terminal);
     EXPECT_NEAR(r.best_distance, 0.0, 1e-9);
     EXPECT_TRUE(r.best_mirrored);
   }
@@ -118,15 +126,17 @@ TEST(ScanEdgeTest, AllAlgorithmsAgreeUnderRotationLimit) {
   Rng rng(7);
   const std::size_t n = 30;
   const auto db = RandomDatabase(&rng, 20, n);
-  ScanOptions options;
+  EngineOptions options;
   options.rotation.max_shift = 4;
   const Series q = RandomDatabase(&rng, 1, n)[0];
   const ScanResult brute =
-      SearchDatabase(db, q, ScanAlgorithm::kBruteForce, options);
-  for (ScanAlgorithm algo : {ScanAlgorithm::kEarlyAbandon,
-                             ScanAlgorithm::kFftLowerBound,
-                             ScanAlgorithm::kWedge}) {
-    const ScanResult r = SearchDatabase(db, q, algo, options);
+      FlatEngine(db, WithStages(options, {StageKind::kFullScan}))->Search(q);
+  for (const std::vector<StageKind>& stages :
+       {std::vector<StageKind>{StageKind::kExactScan},
+        std::vector<StageKind>{StageKind::kFftMagnitude,
+                               StageKind::kExactScan},
+        std::vector<StageKind>{StageKind::kWedge}}) {
+    const ScanResult r = FlatEngine(db, WithStages(options, stages))->Search(q);
     EXPECT_EQ(r.best_index, brute.best_index);
     EXPECT_NEAR(r.best_distance, brute.best_distance, 1e-9);
   }
@@ -158,10 +168,8 @@ TEST(ScanEdgeTest, DeterministicAcrossRuns) {
   Rng rng(8);
   const auto db = RandomDatabase(&rng, 30, 24);
   const Series q = RandomDatabase(&rng, 1, 24)[0];
-  const ScanResult a =
-      SearchDatabase(db, q, ScanAlgorithm::kWedge, ScanOptions{});
-  const ScanResult b =
-      SearchDatabase(db, q, ScanAlgorithm::kWedge, ScanOptions{});
+  const ScanResult a = FlatEngine(db)->Search(q);
+  const ScanResult b = FlatEngine(db)->Search(q);
   EXPECT_EQ(a.best_index, b.best_index);
   EXPECT_EQ(a.counter.total_steps(), b.counter.total_steps());
 }

@@ -1,15 +1,26 @@
-#include "src/search/scan.h"
+/// Whole-database scans through QueryEngine over a FlatDataset: the
+/// paper's rival cascades (full scan, early abandon, FFT filter + early
+/// abandon, wedge) must return the brute-force answer for 1-NN, k-NN and
+/// range queries.
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/core/random.h"
 #include "src/datasets/synthetic.h"
 #include "src/distance/rotation.h"
+#include "src/search/engine.h"
+#include "tests/testing/flat_engine.h"
 
 namespace rotind {
 namespace {
+
+using testing::FlatEngine;
+using testing::WithStages;
 
 std::vector<Series> RandomDatabase(Rng* rng, std::size_t m, std::size_t n) {
   std::vector<Series> db(m);
@@ -28,24 +39,27 @@ Series RandomQuery(Rng* rng, std::size_t n) {
   return q;
 }
 
+const std::vector<StageKind> kFftThenExact = {StageKind::kFftMagnitude,
+                                              StageKind::kExactScan};
+
 TEST(ScanTest, AllEuclideanRivalsAgree) {
   Rng rng(1);
   const std::size_t n = 32;
   const std::vector<Series> db = RandomDatabase(&rng, 40, n);
-  ScanOptions options;
-  options.kind = DistanceKind::kEuclidean;
+  const EngineOptions options;  // Euclidean
+  const FlatEngine brute(db, WithStages(options, {StageKind::kFullScan}));
 
   for (int trial = 0; trial < 5; ++trial) {
     const Series q = RandomQuery(&rng, n);
-    const ScanResult brute =
-        SearchDatabase(db, q, ScanAlgorithm::kBruteForce, options);
-    for (ScanAlgorithm algo :
-         {ScanAlgorithm::kEarlyAbandon, ScanAlgorithm::kFftLowerBound,
-          ScanAlgorithm::kWedge}) {
-      const ScanResult r = SearchDatabase(db, q, algo, options);
-      EXPECT_NEAR(r.best_distance, brute.best_distance, 1e-9)
-          << "algo=" << static_cast<int>(algo);
-      EXPECT_EQ(r.best_index, brute.best_index);
+    const ScanResult ref = brute->Search(q);
+    for (const std::vector<StageKind>& stages :
+         {std::vector<StageKind>{StageKind::kExactScan}, kFftThenExact,
+          std::vector<StageKind>{StageKind::kWedge}}) {
+      const ScanResult r =
+          FlatEngine(db, WithStages(options, stages))->Search(q);
+      EXPECT_NEAR(r.best_distance, ref.best_distance, 1e-9)
+          << "first stage " << static_cast<int>(stages[0]);
+      EXPECT_EQ(r.best_index, ref.best_index);
     }
   }
 }
@@ -54,19 +68,20 @@ TEST(ScanTest, AllDtwRivalsAgree) {
   Rng rng(2);
   const std::size_t n = 24;
   const std::vector<Series> db = RandomDatabase(&rng, 25, n);
-  ScanOptions options;
+  EngineOptions options;
   options.kind = DistanceKind::kDtw;
   options.band = 3;
+  const FlatEngine banded(db,
+                          WithStages(options, {StageKind::kFullScanBanded}));
 
   for (int trial = 0; trial < 3; ++trial) {
     const Series q = RandomQuery(&rng, n);
-    const ScanResult banded =
-        SearchDatabase(db, q, ScanAlgorithm::kBruteForceBanded, options);
-    for (ScanAlgorithm algo :
-         {ScanAlgorithm::kEarlyAbandon, ScanAlgorithm::kWedge}) {
-      const ScanResult r = SearchDatabase(db, q, algo, options);
-      EXPECT_NEAR(r.best_distance, banded.best_distance, 1e-9);
-      EXPECT_EQ(r.best_index, banded.best_index);
+    const ScanResult ref = banded->Search(q);
+    for (StageKind terminal : {StageKind::kExactScan, StageKind::kWedge}) {
+      const ScanResult r =
+          FlatEngine(db, WithStages(options, {terminal}))->Search(q);
+      EXPECT_NEAR(r.best_distance, ref.best_distance, 1e-9);
+      EXPECT_EQ(r.best_index, ref.best_index);
     }
   }
 }
@@ -77,12 +92,13 @@ TEST(ScanTest, FindsPlantedRotatedMatch) {
   std::vector<Series> db = RandomDatabase(&rng, 30, n);
   const Series q = RandomQuery(&rng, n);
   db[17] = RotateLeft(q, 9);
-  ScanOptions options;
-  for (ScanAlgorithm algo :
-       {ScanAlgorithm::kBruteForce, ScanAlgorithm::kEarlyAbandon,
-        ScanAlgorithm::kFftLowerBound, ScanAlgorithm::kWedge}) {
-    const ScanResult r = SearchDatabase(db, q, algo, options);
-    EXPECT_EQ(r.best_index, 17) << "algo=" << static_cast<int>(algo);
+  for (const std::vector<StageKind>& stages :
+       {std::vector<StageKind>{StageKind::kFullScan},
+        std::vector<StageKind>{StageKind::kExactScan}, kFftThenExact,
+        std::vector<StageKind>{StageKind::kWedge}}) {
+    const ScanResult r = FlatEngine(db, WithStages({}, stages))->Search(q);
+    EXPECT_EQ(r.best_index, 17)
+        << "first stage " << static_cast<int>(stages[0]);
     EXPECT_NEAR(r.best_distance, 0.0, 1e-9);
   }
 }
@@ -93,8 +109,7 @@ TEST(ScanTest, WedgeReportsWinningShift) {
   std::vector<Series> db = RandomDatabase(&rng, 10, n);
   const Series q = RandomQuery(&rng, n);
   db[3] = RotateLeft(q, 11);
-  const ScanResult r =
-      SearchDatabase(db, q, ScanAlgorithm::kWedge, ScanOptions{});
+  const ScanResult r = FlatEngine(db)->Search(q);  // default: wedge
   EXPECT_EQ(r.best_index, 3);
   EXPECT_EQ(r.best_shift, 11);
   EXPECT_FALSE(r.best_mirrored);
@@ -106,11 +121,11 @@ TEST(ScanTest, MirrorQueryFindsReversedObject) {
   std::vector<Series> db = RandomDatabase(&rng, 12, n);
   const Series q = RandomQuery(&rng, n);
   db[7] = RotateLeft(Reversed(q), 4);
-  ScanOptions options;
+  EngineOptions options;
   options.rotation.mirror = true;
-  for (ScanAlgorithm algo : {ScanAlgorithm::kEarlyAbandon,
-                             ScanAlgorithm::kWedge}) {
-    const ScanResult r = SearchDatabase(db, q, algo, options);
+  for (StageKind terminal : {StageKind::kExactScan, StageKind::kWedge}) {
+    const ScanResult r =
+        FlatEngine(db, WithStages(options, {terminal}))->Search(q);
     EXPECT_EQ(r.best_index, 7);
     EXPECT_NEAR(r.best_distance, 0.0, 1e-9);
     EXPECT_TRUE(r.best_mirrored);
@@ -127,11 +142,10 @@ TEST(ScanTest, WedgeIsCheaperThanBruteForceOnRealisticData) {
   std::vector<Series> rest = db;
   rest.erase(rest.begin() + 50);
 
-  ScanOptions options;
   const ScanResult brute =
-      SearchDatabase(rest, q, ScanAlgorithm::kBruteForce, options);
+      FlatEngine(rest, WithStages({}, {StageKind::kFullScan}))->Search(q);
   const ScanResult wedge =
-      SearchDatabase(rest, q, ScanAlgorithm::kWedge, options);
+      FlatEngine(rest, WithStages({}, {StageKind::kWedge}))->Search(q);
   EXPECT_NEAR(wedge.best_distance, brute.best_distance, 1e-9);
   EXPECT_LT(wedge.counter.total_steps(), brute.counter.total_steps() / 5);
 }
@@ -143,21 +157,22 @@ TEST(ScanTest, AnalyticBruteForceStepsMatchActualCounter) {
   const std::vector<Series> db = RandomDatabase(&rng, m, n);
   const Series q = RandomQuery(&rng, n);
 
-  ScanOptions options;
   const ScanResult ed =
-      SearchDatabase(db, q, ScanAlgorithm::kBruteForce, options);
+      FlatEngine(db, WithStages({}, {StageKind::kFullScan}))->Search(q);
   EXPECT_EQ(ed.counter.total_steps(),
             AnalyticBruteForceSteps(m, n, n, DistanceKind::kEuclidean, 0));
 
+  EngineOptions options;
   options.kind = DistanceKind::kDtw;
   options.band = 3;
   const ScanResult dtw =
-      SearchDatabase(db, q, ScanAlgorithm::kBruteForceBanded, options);
+      FlatEngine(db, WithStages(options, {StageKind::kFullScanBanded}))
+          ->Search(q);
   EXPECT_EQ(dtw.counter.total_steps(),
             AnalyticBruteForceSteps(m, n, n, DistanceKind::kDtw, 3));
 
   const ScanResult dtw_full =
-      SearchDatabase(db, q, ScanAlgorithm::kBruteForce, options);
+      FlatEngine(db, WithStages(options, {StageKind::kFullScan}))->Search(q);
   EXPECT_EQ(dtw_full.counter.total_steps(),
             AnalyticBruteForceSteps(m, n, n, DistanceKind::kDtw, -1));
 }
@@ -176,16 +191,15 @@ TEST(KnnSearchTest, MatchesBruteForceOrdering) {
   }
   std::sort(ref.begin(), ref.end());
 
-  for (ScanAlgorithm algo : {ScanAlgorithm::kBruteForce,
-                             ScanAlgorithm::kEarlyAbandon,
-                             ScanAlgorithm::kWedge}) {
+  for (StageKind terminal :
+       {StageKind::kFullScan, StageKind::kExactScan, StageKind::kWedge}) {
     const std::vector<Neighbor> knn =
-        KnnSearchDatabase(db, q, 5, algo, ScanOptions{});
+        FlatEngine(db, WithStages({}, {terminal}))->Knn(q, 5);
     ASSERT_EQ(knn.size(), 5u);
     for (int i = 0; i < 5; ++i) {
       EXPECT_NEAR(knn[static_cast<std::size_t>(i)].distance,
                   ref[static_cast<std::size_t>(i)].first, 1e-9)
-          << "algo=" << static_cast<int>(algo) << " i=" << i;
+          << "terminal=" << static_cast<int>(terminal) << " i=" << i;
     }
   }
 }
@@ -194,9 +208,7 @@ TEST(KnnSearchTest, KLargerThanDatabase) {
   Rng rng(9);
   const std::vector<Series> db = RandomDatabase(&rng, 4, 16);
   const Series q = RandomQuery(&rng, 16);
-  const std::vector<Neighbor> knn =
-      KnnSearchDatabase(db, q, 10, ScanAlgorithm::kWedge, ScanOptions{});
-  EXPECT_EQ(knn.size(), 4u);
+  EXPECT_EQ(FlatEngine(db)->Knn(q, 10).size(), 4u);
 }
 
 TEST(RangeSearchTest, MatchesBruteForceSet) {
@@ -213,16 +225,16 @@ TEST(RangeSearchTest, MatchesBruteForceSet) {
   std::sort(sorted.begin(), sorted.end());
   const double radius = sorted[10];  // include exactly 11 objects (ties rare)
 
-  for (ScanAlgorithm algo : {ScanAlgorithm::kBruteForce,
-                             ScanAlgorithm::kEarlyAbandon,
-                             ScanAlgorithm::kWedge}) {
+  for (StageKind terminal :
+       {StageKind::kFullScan, StageKind::kExactScan, StageKind::kWedge}) {
     const std::vector<Neighbor> in_range =
-        RangeSearchDatabase(db, q, radius, algo, ScanOptions{});
+        FlatEngine(db, WithStages({}, {terminal}))->Range(q, radius);
     std::size_t expected = 0;
     for (double d : dists) {
       if (d <= radius) ++expected;
     }
-    EXPECT_EQ(in_range.size(), expected) << "algo=" << static_cast<int>(algo);
+    EXPECT_EQ(in_range.size(), expected)
+        << "terminal=" << static_cast<int>(terminal);
     for (const Neighbor& nb : in_range) {
       EXPECT_LE(nb.distance, radius + 1e-12);
       EXPECT_NEAR(nb.distance, dists[static_cast<std::size_t>(nb.index)],
@@ -233,8 +245,7 @@ TEST(RangeSearchTest, MatchesBruteForceSet) {
 
 TEST(ScanTest, EmptyDatabase) {
   const Series q = {1.0, 2.0, 3.0};
-  const ScanResult r =
-      SearchDatabase({}, q, ScanAlgorithm::kWedge, ScanOptions{});
+  const ScanResult r = FlatEngine(std::vector<Series>{})->Search(q);
   EXPECT_EQ(r.best_index, -1);
   EXPECT_TRUE(std::isinf(r.best_distance));
 }

@@ -1,12 +1,15 @@
 /// Blocked (SoA, 8-candidates-at-a-time) cascade terminals vs the
 /// per-candidate scalar path. An in-memory FlatDataset engine scores
-/// full-scan ED terminals in tile groups; the legacy vector<Series> engine
-/// never does (and records no fetch stage either), so it is the reference.
-/// The blocked terminal claims to be OBSERVATIONALLY IDENTICAL — same
-/// answers, same step counts, same per-stage attribution — so this file
-/// holds it to == on all three, across database sizes straddling the
-/// 8-lane tile width, holdout positions in every tile group, mirror
-/// invariance, and rotation-limited queries.
+/// full-scan ED terminals in tile groups. The reference is an engine over
+/// the same rows behind a zero-fault FaultInjectingBackend: the decorator
+/// hides the FlatDataset (BlockedSource() is null), so that engine fetches
+/// and scores one candidate at a time, and it reports the in-memory kind,
+/// so it records no fetch stage either. The blocked terminal claims to be
+/// OBSERVATIONALLY IDENTICAL — same answers, same step counts, same
+/// per-stage attribution — so this file holds it to == on all three,
+/// across database sizes straddling the 8-lane tile width, holdout
+/// positions in every tile group, mirror invariance, and rotation-limited
+/// queries.
 
 #include <cstdint>
 #include <memory>
@@ -19,6 +22,7 @@
 #include "src/datasets/synthetic.h"
 #include "src/obs/metrics.h"
 #include "src/search/engine.h"
+#include "src/storage/backend.h"
 
 namespace rotind {
 namespace {
@@ -33,24 +37,26 @@ EngineOptions FullScanOptions(bool mirror, int max_shift) {
 }
 
 /// The two engines under comparison, over the same rows and options: the
-/// FlatDataset engine (blocked where the cascade allows) and the
-/// vector<Series> engine (always per candidate).
+/// FlatDataset engine (blocked where the cascade allows) and the zero-fault
+/// decorated engine (always per candidate).
 struct EnginePair {
-  EnginePair(const std::vector<Series>& items, const FlatDataset& flat,
-             const EngineOptions& options)
+  EnginePair(const FlatDataset& flat, const EngineOptions& options)
       : blocked(std::make_unique<QueryEngine>(flat, options)),
-        scalar(std::make_unique<QueryEngine>(items, options)) {}
+        scalar(std::make_unique<QueryEngine>(
+            std::make_unique<storage::FaultInjectingBackend>(
+                std::make_unique<storage::InMemoryBackend>(flat),
+                storage::FaultScheduleSpec{}),
+            options)) {}
   std::unique_ptr<QueryEngine> blocked;
   std::unique_ptr<QueryEngine> scalar;
 };
 
 /// Full-scan ED: results AND step accounting must be bit-identical,
 /// including the per-stage attribution the metrics report.
-void ExpectFullScanIdentical(const std::vector<Series>& items,
-                             const FlatDataset& flat, const Series& query,
+void ExpectFullScanIdentical(const FlatDataset& flat, const Series& query,
                              std::size_t holdout, bool mirror, int max_shift,
                              const std::string& label) {
-  EnginePair pair(items, flat, FullScanOptions(mirror, max_shift));
+  EnginePair pair(flat, FullScanOptions(mirror, max_shift));
 
   obs::QueryMetrics blocked_metrics;
   obs::QueryMetrics scalar_metrics;
@@ -122,7 +128,7 @@ TEST(SimdEngineTest, BlockedFullScanIsObservationallyIdentical) {
     for (bool mirror : {false, true}) {
       for (std::size_t qi : {std::size_t{0}, m / 2, m - 1}) {
         ExpectFullScanIdentical(
-            items, flat, items[qi], qi, mirror, /*max_shift=*/-1,
+            flat, items[qi], qi, mirror, /*max_shift=*/-1,
             "m=" + std::to_string(m) + (mirror ? " mirror" : "") + " q" +
                 std::to_string(qi));
       }
@@ -138,11 +144,10 @@ TEST(SimdEngineTest, BlockedFullScanMatchesUnderRotationLimits) {
   const FlatDataset flat = FlatDataset::FromItems(items);
   const Series probe = MakeProjectilePointsDatabase(1, 36, 997)[0];
   for (int max_shift : {0, 3, 9}) {
-    ExpectFullScanIdentical(items, flat, probe, flat.size(),
-                            /*mirror=*/false, max_shift,
-                            "max_shift=" + std::to_string(max_shift));
-    ExpectFullScanIdentical(items, flat, items[4], 4, /*mirror=*/true,
+    ExpectFullScanIdentical(flat, probe, flat.size(), /*mirror=*/false,
                             max_shift,
+                            "max_shift=" + std::to_string(max_shift));
+    ExpectFullScanIdentical(flat, items[4], 4, /*mirror=*/true, max_shift,
                             "mirror max_shift=" + std::to_string(max_shift));
   }
 }
@@ -156,7 +161,7 @@ TEST(SimdEngineTest, FilteredCascadeFallsBackAndAgrees) {
   EngineOptions options;
   options.kind = DistanceKind::kEuclidean;
   options.cascade.stages = {StageKind::kFftMagnitude, StageKind::kExactScan};
-  EnginePair pair(items, flat, options);
+  EnginePair pair(flat, options);
   for (std::size_t qi : {0u, 8u, 16u}) {
     const ScanResult got = pair.blocked->SearchLeaveOneOut(items[qi], qi);
     const ScanResult ref = pair.scalar->SearchLeaveOneOut(items[qi], qi);
@@ -177,7 +182,7 @@ TEST(SimdEngineTest, DtwCascadeUnaffectedByBlockedToggle) {
   options.kind = DistanceKind::kDtw;
   options.band = 4;
   options.cascade.stages = {StageKind::kFullScanBanded};
-  EnginePair pair(items, flat, options);
+  EnginePair pair(flat, options);
   for (std::size_t qi : {0u, 5u}) {
     const ScanResult got = pair.blocked->SearchLeaveOneOut(items[qi], qi);
     const ScanResult ref = pair.scalar->SearchLeaveOneOut(items[qi], qi);

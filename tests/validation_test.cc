@@ -4,13 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/flat_dataset.h"
 #include "src/distance/rotation.h"
+#include "src/search/engine.h"
 #include "src/search/hmerge.h"
-#include "src/search/scan.h"
 #include "src/storage/simulated_disk.h"
+#include "tests/testing/flat_engine.h"
 
 namespace rotind {
 namespace {
+
+using testing::FlatEngine;
+using testing::WithStages;
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 
@@ -21,73 +26,67 @@ std::vector<Series> SmallDb() {
 // --- Scan entry points -----------------------------------------------------
 
 TEST(ScanValidationTest, AcceptsWellFormedInputs) {
-  const auto db = SmallDb();
+  const FlatEngine engine(SmallDb());  // wedge cascade
   const Series query{0.5, 1.5, 2.5, 3.5};
-  StatusOr<ScanResult> r =
-      SearchDatabaseChecked(db, query, ScanAlgorithm::kWedge, ScanOptions{});
+  StatusOr<ScanResult> r = engine->SearchChecked(query);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   // Same answer as the unchecked entry point.
-  const ScanResult direct =
-      SearchDatabase(db, query, ScanAlgorithm::kWedge, ScanOptions{});
+  const ScanResult direct = engine->Search(query);
   EXPECT_EQ(r->best_index, direct.best_index);
   EXPECT_DOUBLE_EQ(r->best_distance, direct.best_distance);
 }
 
 TEST(ScanValidationTest, RejectsEmptyQuery) {
-  StatusOr<ScanResult> r = SearchDatabaseChecked(
-      SmallDb(), Series{}, ScanAlgorithm::kBruteForce, ScanOptions{});
+  StatusOr<ScanResult> r =
+      FlatEngine(SmallDb(), WithStages({}, {StageKind::kFullScan}))
+          ->SearchChecked(Series{});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ScanValidationTest, RejectsNonFiniteQuery) {
   StatusOr<ScanResult> r =
-      SearchDatabaseChecked(SmallDb(), Series{0.0, kNan, 2.0, 3.0},
-                            ScanAlgorithm::kEarlyAbandon, ScanOptions{});
+      FlatEngine(SmallDb(), WithStages({}, {StageKind::kExactScan}))
+          ->SearchChecked(Series{0.0, kNan, 2.0, 3.0});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
+/// A ragged database never reaches an engine: the validated FlatDataset
+/// builder rejects it, naming the offending item.
 TEST(ScanValidationTest, RejectsMismatchedDbItem) {
   auto db = SmallDb();
   db.push_back({1.0, 2.0});  // wrong length
-  StatusOr<ScanResult> r = SearchDatabaseChecked(
-      db, Series{0.0, 1.0, 2.0, 3.0}, ScanAlgorithm::kWedge, ScanOptions{});
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  // The message names the offending item.
-  EXPECT_NE(r.status().message().find("item 3"), std::string::npos)
-      << r.status().message();
+  StatusOr<FlatDataset> flat = FlatDataset::FromItemsChecked(db);
+  ASSERT_FALSE(flat.ok());
+  EXPECT_EQ(flat.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(flat.status().message().find("item 3"), std::string::npos)
+      << flat.status().message();
 }
 
 TEST(ScanValidationTest, KnnRejectsNonPositiveK) {
   StatusOr<std::vector<Neighbor>> r =
-      KnnSearchDatabaseChecked(SmallDb(), Series{0.0, 1.0, 2.0, 3.0}, 0,
-                               ScanAlgorithm::kWedge, ScanOptions{});
+      FlatEngine(SmallDb())->KnnChecked(Series{0.0, 1.0, 2.0, 3.0}, 0);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ScanValidationTest, RangeRejectsBadRadius) {
+  const FlatEngine engine(SmallDb());
   for (double radius : {-1.0, kNan, std::numeric_limits<double>::infinity()}) {
     StatusOr<std::vector<Neighbor>> r =
-        RangeSearchDatabaseChecked(SmallDb(), Series{0.0, 1.0, 2.0, 3.0},
-                                   radius, ScanAlgorithm::kWedge,
-                                   ScanOptions{});
+        engine->RangeChecked(Series{0.0, 1.0, 2.0, 3.0}, radius);
     ASSERT_FALSE(r.ok()) << radius;
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   }
 }
 
 TEST(ScanValidationTest, KnnCheckedMatchesUnchecked) {
-  const auto db = SmallDb();
+  const FlatEngine engine(SmallDb(), WithStages({}, {StageKind::kExactScan}));
   const Series query{0.1, 1.1, 2.1, 3.1};
-  StatusOr<std::vector<Neighbor>> r = KnnSearchDatabaseChecked(
-      db, query, 2, ScanAlgorithm::kEarlyAbandon, ScanOptions{});
+  StatusOr<std::vector<Neighbor>> r = engine->KnnChecked(query, 2);
   ASSERT_TRUE(r.ok());
-  const auto direct =
-      KnnSearchDatabase(db, query, 2, ScanAlgorithm::kEarlyAbandon,
-                        ScanOptions{});
+  const auto direct = engine->Knn(query, 2);
   ASSERT_EQ(r->size(), direct.size());
   for (std::size_t i = 0; i < direct.size(); ++i) {
     EXPECT_EQ((*r)[i].index, direct[i].index);

@@ -44,14 +44,16 @@
 /// matches; only the `io:` line differs — diffing the `match:` lines across
 /// backends is the storage-roundtrip check CI runs.
 ///
-/// --cascade overrides --algo for `search` and `knn` with an explicit
-/// pruning pipeline: a comma-separated list of stages from vecsig (pooled
-/// rotation-invariant signature filter), fft (FFT-magnitude filter), lbi
-/// (two-pass LB_Improved filter), wedge (hierarchal wedge terminal), ea
-/// (early-abandoning scan terminal), full / fullband (exhaustive
-/// terminals). Unsound compositions are normalized, not rejected: filters
-/// that do not lower-bound the configured measure are dropped and a
-/// filter-only list gets `ea` appended, so the answers stay exact.
+/// --algo picks a preset pipeline for `search` and `knn`: wedge, brute
+/// (full, or fullband under --dtw), ea, or fft (fft,ea). --cascade
+/// overrides it with an explicit pipeline: a comma-separated list of
+/// stages from vecsig (pooled rotation-invariant signature filter), fft
+/// (FFT-magnitude filter), lbi (two-pass LB_Improved filter), wedge
+/// (hierarchal wedge terminal), ea (early-abandoning scan terminal), full
+/// / fullband (exhaustive terminals). Unsound compositions are normalized,
+/// not rejected: filters that do not lower-bound the configured measure
+/// are dropped and a filter-only list gets `ea` appended, so the answers
+/// stay exact.
 ///
 /// Databases are UCR-format text (label,v1,v2,...) or the binary format
 /// produced with --binary; the loader sniffs the magic bytes.
@@ -108,7 +110,6 @@
 #include "src/mining/motif.h"
 #include "src/obs/metrics.h"
 #include "src/search/engine.h"
-#include "src/search/scan.h"
 #include "src/simd/simd.h"
 #include "src/serve/protocol.h"
 #include "src/serve/server.h"
@@ -530,38 +531,34 @@ bool ValidateArgsAgainstDb(const Args& args, const Dataset& db) {
   return true;
 }
 
-ScanOptions MakeScanOptions(const Args& args) {
-  ScanOptions options;
+/// Engine configuration for `search`/`knn`: the stages of the --algo
+/// preset, or the --cascade pipeline when one is given. The engine
+/// normalizes the spec for the configured measure, so an unsound filter is
+/// dropped rather than producing wrong answers: under --dtw the fft preset
+/// runs as plain ea.
+EngineOptions MakeEngineOptions(const Args& args) {
+  EngineOptions options;
   options.kind = args.dtw ? DistanceKind::kDtw : DistanceKind::kEuclidean;
   options.band = args.band;
   options.rotation.mirror = args.mirror;
   options.rotation.max_shift = args.max_shift;
-  return options;
-}
-
-ScanAlgorithm MakeAlgorithm(const Args& args) {
-  if (args.algo == "brute") {
-    return args.dtw ? ScanAlgorithm::kBruteForceBanded
-                    : ScanAlgorithm::kBruteForce;
+  if (!args.cascade.empty()) {
+    options.cascade = args.cascade_spec;
+  } else if (args.algo == "brute") {
+    options.cascade.stages = {args.dtw ? StageKind::kFullScanBanded
+                                       : StageKind::kFullScan};
+  } else if (args.algo == "ea") {
+    options.cascade.stages = {StageKind::kExactScan};
+  } else if (args.algo == "fft") {
+    options.cascade.stages = {StageKind::kFftMagnitude, StageKind::kExactScan};
+  } else {
+    options.cascade.stages = {StageKind::kWedge};
   }
-  if (args.algo == "ea") return ScanAlgorithm::kEarlyAbandon;
-  if (args.algo == "fft") return ScanAlgorithm::kFftLowerBound;
-  return ScanAlgorithm::kWedge;
-}
-
-/// Engine configuration for `search`/`knn`: the legacy --algo mapping,
-/// with --cascade (when given) overriding the pruning pipeline. The engine
-/// normalizes the spec for the configured measure, so an unsound filter is
-/// dropped rather than producing wrong answers.
-EngineOptions MakeEngineOptions(const Args& args) {
-  EngineOptions options =
-      EngineOptionsFrom(MakeScanOptions(args), MakeAlgorithm(args));
-  if (!args.cascade.empty()) options.cascade = args.cascade_spec;
   return options;
 }
 
 /// Metrics-registry key suffix: the explicit cascade string when one was
-/// given, the legacy algorithm name otherwise.
+/// given, the --algo preset name otherwise.
 std::string PipelineLabel(const Args& args) {
   return args.cascade.empty() ? args.algo : "cascade:" + args.cascade;
 }
@@ -689,9 +686,12 @@ int CmdClassify(const Args& args, const Dataset& db) {
     std::fprintf(stderr, "database has no labels\n");
     return 2;
   }
+  RotationOptions rotation;
+  rotation.mirror = args.mirror;
+  rotation.max_shift = args.max_shift;
   const ClassificationResult r = LeaveOneOutOneNnRotationInvariant(
       db, args.dtw ? DistanceKind::kDtw : DistanceKind::kEuclidean,
-      args.band, MakeScanOptions(args).rotation, args.threads);
+      args.band, rotation, args.threads);
   std::printf("leave-one-out 1-NN error: %d / %d = %.2f%%\n", r.errors,
               r.total, 100.0 * r.error_rate());
   return 0;
