@@ -1,8 +1,9 @@
 /// End-to-end scan benchmark with machine-readable output.
 ///
-/// Runs every cascade composition (the legacy algorithm set plus the
-/// FFT-filter + wedge pipeline) over a synthetic projectile-points
-/// workload under Euclidean and DTW, then times the batch driver at 1 and
+/// Runs every cascade composition (the paper's rival scans plus the
+/// vec-signature filter in front of each terminal) over a synthetic
+/// projectile-points workload under Euclidean and DTW, then times the
+/// batch driver at 1 and
 /// N threads. Results — implementation-free step counts, stage-attributed
 /// observability metrics, AND wall-clock — are written as JSON so CI can
 /// archive and diff them across commits.
@@ -234,7 +235,8 @@ int Run(int argc, char** argv) {
     /// this dataset band-pooling collapses the bound fast (reverse
     /// triangle inequality per band: similar band energies => tiny lower
     /// bound), so the bench runs the filter at full spectral resolution
-    /// n/2, where it actually prunes. The in-memory engine compares
+    /// n/2, the paper's FFT-magnitude bound, where it actually prunes. The
+    /// in-memory engine compares
     /// resident rows it built on first use, so a comparison costs O(dims)
     /// wall time at any width; the step counters still price it as one
     /// FFT (DESIGN.md §14).
@@ -244,25 +246,16 @@ int Run(int argc, char** argv) {
       {"ed/full-scan", DistanceKind::kEuclidean, {{StageKind::kFullScan}}},
       {"ed/early-abandon", DistanceKind::kEuclidean,
        {{StageKind::kExactScan}}},
-      {"ed/fft+early-abandon", DistanceKind::kEuclidean,
-       {{StageKind::kFftMagnitude, StageKind::kExactScan}}},
       {"ed/wedge", DistanceKind::kEuclidean, {{StageKind::kWedge}}},
-      {"ed/fft+wedge", DistanceKind::kEuclidean,
-       {{StageKind::kFftMagnitude, StageKind::kWedge}}},
+      {"ed/vecsig+wedge", DistanceKind::kEuclidean,
+       {{StageKind::kVecSignature, StageKind::kWedge}},
+       /*vec_sig_dims=*/125},
       {"ed/vecsig+early-abandon", DistanceKind::kEuclidean,
        {{StageKind::kVecSignature, StageKind::kExactScan}},
-       /*vec_sig_dims=*/125},
-      {"ed/lbimproved+early-abandon", DistanceKind::kEuclidean,
-       {{StageKind::kLbImproved, StageKind::kExactScan}}},
-      {"ed/vecsig+fft+lbimproved+early-abandon", DistanceKind::kEuclidean,
-       {{StageKind::kVecSignature, StageKind::kFftMagnitude,
-         StageKind::kLbImproved, StageKind::kExactScan}},
        /*vec_sig_dims=*/125},
       {"dtw/full-scan-banded", DistanceKind::kDtw,
        {{StageKind::kFullScanBanded}}},
       {"dtw/early-abandon", DistanceKind::kDtw, {{StageKind::kExactScan}}},
-      {"dtw/lbimproved+early-abandon", DistanceKind::kDtw,
-       {{StageKind::kLbImproved, StageKind::kExactScan}}},
       {"dtw/wedge", DistanceKind::kDtw, {{StageKind::kWedge}}},
   };
 

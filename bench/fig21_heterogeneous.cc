@@ -38,9 +38,12 @@ int Run() {
     const std::vector<const char*> names = {"brute", "fft", "early_ab",
                                             "wedge"};
     PrintHeader("[Euclidean] relative steps per comparison", names);
+    // The FFT rival: the vec-signature filter at one band per spectral bin
+    // is the paper's FFT-magnitude lower bound (Section 4.2).
     EngineOptions fft_options;  // Euclidean
-    fft_options.cascade.stages = {StageKind::kFftMagnitude,
+    fft_options.cascade.stages = {StageKind::kVecSignature,
                                   StageKind::kExactScan};
+    fft_options.vec_sig_dims = n / 2;
     EngineOptions ea_options;
     ea_options.cascade.stages = {StageKind::kExactScan};
     EngineOptions wedge_options;

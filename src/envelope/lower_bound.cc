@@ -69,72 +69,4 @@ double EarlyAbandonLbKeogh(const double* q, const Envelope& wedge,
   return std::isinf(sq) ? kAbandoned : std::sqrt(sq);
 }
 
-double LbImprovedSquared(const double* c, const Envelope& wedge,
-                         const Envelope& expanded, int band,
-                         double squared_limit, StepCounter* counter) {
-  ROTIND_CONTRACT(wedge.size() == expanded.size(),
-                  "LB_Improved: the expanded wedge must be the band "
-                  "expansion of the original (sizes differ)");
-  ROTIND_CONTRACT(expanded.Encloses(wedge),
-                  "LB_Improved: pass 1 runs against ExpandedForDtw(band) "
-                  "of the wedge; a non-enclosing 'expansion' voids the "
-                  "per-path-step inequality (Proposition 2)");
-  const std::size_t n = wedge.size();
-  if (counter != nullptr) ++counter->lower_bound_evals;
-
-  // Pass 1: LB_Keogh of the candidate against the band-expanded wedge,
-  // fused with the projection H_i = clamp(c_i, L^e_i, U^e_i). Identical
-  // accumulation/abandonment to EarlyAbandonLbKeoghSquared — the FP
-  // guarantee LB_Keogh <= LB_Improved rests on pass 2 only ADDING to this
-  // exact pass-1 sum.
-  Series proj(n);
-  std::size_t examined = 0;
-  const double pass1 = simd::Kernels().lb_keogh_proj_sq(
-      c, expanded.upper.data(), expanded.lower.data(), proj.data(), n,
-      squared_limit, &examined);
-  if (std::isinf(pass1) && pass1 > squared_limit) {
-    if (counter != nullptr) {
-      counter->steps += examined;
-      ++counter->early_abandons;
-    }
-    return kAbandoned;
-  }
-  AddSteps(counter, n);
-
-  // Pass 2: the projection's own sliding envelope under the same band,
-  // then the per-index interval gap against the UNexpanded wedge. Every
-  // enclosed rotation q has q_j in [L_j, U_j] and its path partners h_i in
-  // [LH_j, UH_j], so each gap term lower-bounds that column's warping
-  // cost in DTW(H, Q).
-  const Series proj_upper = SlidingMax(proj, band);
-  const Series proj_lower = SlidingMin(proj, band);
-  AddSteps(counter, 2 * n);
-  double acc = pass1;
-  for (std::size_t j = 0; j < n; ++j) {
-    const double below = wedge.lower[j] - proj_upper[j];
-    const double above = proj_lower[j] - wedge.upper[j];
-    const double gap = std::max(std::max(below, above), 0.0);
-    acc += gap * gap;
-    if (acc > squared_limit) {
-      if (counter != nullptr) {
-        counter->steps += j + 1;
-        ++counter->early_abandons;
-      }
-      return kAbandoned;
-    }
-  }
-  AddSteps(counter, n);
-  return acc;
-}
-
-double LbImproved(const double* c, const Envelope& wedge, int band,
-                  double limit, StepCounter* counter) {
-  const Envelope expanded = wedge.ExpandedForDtw(band);
-  const double squared_limit =
-      std::isinf(limit) ? limit : limit * limit;
-  const double sq =
-      LbImprovedSquared(c, wedge, expanded, band, squared_limit, counter);
-  return std::isinf(sq) ? kAbandoned : std::sqrt(sq);
-}
-
 }  // namespace rotind

@@ -45,40 +45,6 @@ double EarlyAbandonLbKeoghSquared(const double* q, const double* upper,
 double EarlyAbandonLbKeogh(const double* q, const Envelope& wedge,
                            double limit, StepCounter* counter = nullptr);
 
-/// LB_Improved (Lemire, "Faster Retrieval with a Two-Pass Dynamic-Time-
-/// Warping Lower Bound", arXiv:0811.3301) generalized from single series
-/// to rotation wedges. Pass 1 is LB_Keogh of candidate C against the
-/// band-EXPANDED wedge (Proposition 2). When it fails to prune, C is
-/// projected onto that envelope, H_i = clamp(c_i, L^e_i, U^e_i), and pass
-/// 2 adds the squared gap, at every index j, between the ORIGINAL wedge
-/// interval [L_j, U_j] and the sliding min/max envelope of H with the same
-/// band — the LB_Keogh of the projection seen from the wedge's side. For
-/// every path step (i, j) inside the Sakoe-Chiba band, q_j lies in
-/// [L^e_i, U^e_i], so (c_i - q_j)^2 >= (c_i - h_i)^2 + (h_i - q_j)^2;
-/// summing over any warping path yields, for EVERY series Q enclosed by
-/// the wedge (every rotation, mirrors included):
-///
-///   LB_Keogh(C, W^band)^2 <= LbImprovedSquared(C, W, ...) <= DTW_band(C, Q)^2
-///
-/// band = 0 is the Euclidean specialization (ED on the right). The first
-/// inequality is exact in floating point, not just in the reals: pass 2
-/// only adds non-negative terms to the pass-1 accumulator.
-
-/// Two-pass squared bound with early abandonment: returns kAbandoned
-/// (+infinity) as soon as the running sum exceeds `squared_limit`,
-/// otherwise the squared bound. `expanded` must be wedge.ExpandedForDtw(
-/// band) computed once per query (contract-checked). Charges one step per
-/// point examined in each pass plus 2n for the projection envelope build.
-double LbImprovedSquared(const double* c, const Envelope& wedge,
-                         const Envelope& expanded, int band,
-                         double squared_limit,
-                         StepCounter* counter = nullptr);
-
-/// Unsquared convenience that builds the expanded wedge itself: returns
-/// kAbandoned (+infinity) on abandonment or the exact lower bound.
-double LbImproved(const double* c, const Envelope& wedge, int band,
-                  double limit, StepCounter* counter = nullptr);
-
 }  // namespace rotind
 
 #endif  // ROTIND_ENVELOPE_LOWER_BOUND_H_

@@ -39,8 +39,11 @@ namespace rotind::obs {
 /// refinement lands on the terminal's stage), and the trailing two are the
 /// cascade filter stages added later (appended so the numeric ids of
 /// every earlier stage — and therefore old JSON baselines — are stable).
+/// kFftFilter, kRefine and kLbImproved are reserved: no stage writes them,
+/// and they keep their ids and names so that old JSON still reads. The
+/// FFT-magnitude bound runs as kVecSignature at n/2 dims.
 enum class StageId {
-  kFftFilter = 0,      ///< cascade: FFT-magnitude lower-bound filter
+  kFftFilter = 0,      ///< reserved: was the FFT-magnitude filter
   kWedge,              ///< cascade terminal: LB_Keogh wedges + H-Merge
   kExactScan,          ///< cascade terminal: early-abandoning rotation scan
   kFullScan,           ///< cascade terminal: full evaluation, no abandoning
@@ -48,7 +51,7 @@ enum class StageId {
   kSignatureFilter,    ///< index: the kSignatureIndex visit
   kDiskFetch,          ///< storage: candidate fetches that do I/O
   kRefine,             ///< unused; kept so later ids stay stable
-  kLbImproved,         ///< cascade: two-pass LB_Improved wedge filter
+  kLbImproved,         ///< reserved: was the two-pass LB_Improved filter
   kVecSignature,       ///< cascade: pooled rotation-invariant vector filter
 };
 inline constexpr std::size_t kNumStages = 10;

@@ -15,7 +15,6 @@
 #include "src/core/contracts.h"
 #include "src/core/sync.h"
 #include "src/distance/euclidean.h"
-#include "src/envelope/lower_bound.h"
 #include "src/envelope/paa.h"
 #include "src/fourier/spectral.h"
 #include "src/search/lcss_search.h"
@@ -33,8 +32,7 @@ static_assert(FlatDataset::kTileLanes == simd::kBlockLanes,
 
 bool IsTerminal(StageKind kind) {
   return kind != StageKind::kSignatureIndex &&
-         kind != StageKind::kFftMagnitude &&
-         kind != StageKind::kVecSignature && kind != StageKind::kLbImproved;
+         kind != StageKind::kVecSignature;
 }
 
 bool HasStage(const CascadeSpec& cascade, StageKind kind) {
@@ -46,9 +44,7 @@ bool HasStage(const CascadeSpec& cascade, StageKind kind) {
 obs::StageId StageIdFor(StageKind kind) {
   switch (kind) {
     case StageKind::kSignatureIndex: return obs::StageId::kSignatureFilter;
-    case StageKind::kFftMagnitude: return obs::StageId::kFftFilter;
     case StageKind::kVecSignature: return obs::StageId::kVecSignature;
-    case StageKind::kLbImproved: return obs::StageId::kLbImproved;
     case StageKind::kWedge: return obs::StageId::kWedge;
     case StageKind::kExactScan: return obs::StageId::kExactScan;
     case StageKind::kFullScan: return obs::StageId::kFullScan;
@@ -69,53 +65,17 @@ struct CandidateMatch {
   bool found = false;
 };
 
-/// A cheap lower-bound filter: returns true when the candidate provably
-/// cannot beat `threshold`. `index` is the candidate's database position —
-/// filters backed by resident per-object sections (stored RIDX v2
-/// signature rows) key off it; purely computational filters ignore it.
-class FilterStage {
- public:
-  virtual ~FilterStage() = default;
-  virtual bool Prune(std::size_t index, const double* c, double threshold,
-                     StepCounter* counter) const = 0;
-  /// The observability bucket this filter's work and candidate flow land
-  /// in, so a multi-filter cascade attributes pruning power per stage.
-  virtual obs::StageId stage_id() const = 0;
-};
-
-/// Rotation-invariant FFT-magnitude lower bound (paper Sections 4.2/5.3):
-/// charged n*log2(n) steps per use; sound for Euclidean only.
-class FftMagnitudeFilter final : public FilterStage {
- public:
-  FftMagnitudeFilter(const Series& query, StepCounter* counter)
-      : n_(query.size()),
-        signature_(MakeSpectralSignature(query, query.size() / 2)) {
-    AddSetupSteps(counter, FftStepCost(n_));
-  }
-
-  bool Prune(std::size_t /*index*/, const double* c, double threshold,
-             StepCounter* counter) const override {
-    AddSteps(counter, FftStepCost(n_));
-    if (counter != nullptr) ++counter->lower_bound_evals;
-    const SpectralSignature sig =
-        MakeSpectralSignature(Series(c, c + n_), n_ / 2);
-    return SignatureDistance(signature_, sig, nullptr) >= threshold;
-  }
-
-  obs::StageId stage_id() const override { return obs::StageId::kFftFilter; }
-
- private:
-  std::size_t n_;
-  SpectralSignature signature_;
-};
-
-/// Band-pooled rotation/mirror-invariant vector pre-filter (the VecSignature
-/// embedding): ||v(Q) - v(C)||_2 <= RED(Q, C), sound for Euclidean only.
+/// The cascade's one filter: the band-pooled rotation/mirror-invariant
+/// vector embedding (VecSignature), ||v(Q) - v(C)||_2 <= RED(Q, C), sound
+/// for Euclidean only. At dims = n/2 every band holds one bin and v is the
+/// paper's FFT-magnitude signature (Section 4.2), bit for bit. Prune
+/// returns true when the candidate provably cannot beat `threshold`.
 /// Two candidate paths with bit-identical distances: resident rows (an
-/// O(dims) lookup charged `row_steps`) or an on-the-fly embedding (one
-/// FFT) — identical because the rows were produced by the same
-/// MakeVecSignature over the same candidate bytes.
-class VecSignatureFilter final : public FilterStage {
+/// O(dims) lookup charged `row_steps`, keyed by the candidate's database
+/// position `index`) or an on-the-fly embedding (one FFT) — identical
+/// because the rows were produced by the same MakeVecSignature over the
+/// same candidate bytes.
+class VecSignatureFilter {
  public:
   VecSignatureFilter(const Series& query, std::size_t dims,
                      const double* stored_rows, std::size_t stored_dims,
@@ -132,7 +92,7 @@ class VecSignatureFilter final : public FilterStage {
   }
 
   bool Prune(std::size_t index, const double* c, double threshold,
-             StepCounter* counter) const override {
+             StepCounter* counter) const {
     if (counter != nullptr) ++counter->lower_bound_evals;
     if (n_ < 2) return false;
     double d;
@@ -155,71 +115,12 @@ class VecSignatureFilter final : public FilterStage {
     return d >= threshold;
   }
 
-  obs::StageId stage_id() const override {
-    return obs::StageId::kVecSignature;
-  }
-
  private:
   std::size_t n_;
   const double* rows_ = nullptr;  ///< count x dims_ resident matrix or null.
   std::uint64_t row_steps_ = 0;   ///< steps charged per row lookup.
   std::size_t dims_ = 0;
   VecSignature signature_;
-};
-
-/// Two-pass LB_Improved second-chance filter (see envelope/lower_bound.h):
-/// pass 1 is LB_Keogh of the candidate against the band-expanded rotation
-/// wedge, pass 2 adds the gap between the UNexpanded wedge and the sliding
-/// envelope of the candidate's projection. Tightness ordering makes it a
-/// strict second chance: every candidate LB_Keogh would prune, this prunes
-/// too, plus some LB_Keogh misses. Sound for kEuclidean (band 0) and for
-/// banded DTW terminals; CascadeSpec::Normalized drops the unsound
-/// compositions.
-class LbImprovedFilter final : public FilterStage {
- public:
-  LbImprovedFilter(const Series& query, const EngineOptions& options,
-                   StepCounter* counter) {
-    const RotationSet rots(query, options.rotation);
-    const std::size_t n = rots.length();
-    if (options.kind == DistanceKind::kDtw) {
-      // A negative band means the terminal warps without constraint; the
-      // full-width band keeps the bound sound there (DTW_{n-1} is the
-      // unconstrained distance), and ExpandedForDtw clamps oversized bands.
-      band_ = options.band < 0 ? static_cast<int>(n == 0 ? 0 : n - 1)
-                               : options.band;
-    }
-    if (n == 0 || rots.count() == 0) return;  // nothing to bound
-    // The wedge encloses EVERY rotation (and mirror) the terminal will
-    // consider, so one envelope bounds the whole orbit (paper Section 4.1).
-    wedge_ = Envelope::FromSeries(rots.rotation(0), n);
-    for (std::size_t r = 1; r < rots.count(); ++r) {
-      wedge_.MergeSeries(rots.rotation(r), n);
-    }
-    AddSetupSteps(counter, rots.count() * n);
-    expanded_ = wedge_.ExpandedForDtw(band_);
-    AddSetupSteps(counter, 2 * n);
-  }
-
-  bool Prune(std::size_t /*index*/, const double* c, double threshold,
-             StepCounter* counter) const override {
-    if (wedge_.size() == 0) return false;
-    const double sq_threshold =
-        std::isinf(threshold) ? threshold : threshold * threshold;
-    const double sq =
-        LbImprovedSquared(c, wedge_, expanded_, band_, sq_threshold, counter);
-    // kAbandoned means the accumulator tripped the limit mid-pass; a
-    // finite result prunes on >= exactly like the other filters.
-    return std::isinf(sq) || sq >= sq_threshold;
-  }
-
-  obs::StageId stage_id() const override {
-    return obs::StageId::kLbImproved;
-  }
-
- private:
-  int band_ = 0;
-  Envelope wedge_;
-  Envelope expanded_;
 };
 
 /// The exact terminal evaluator at the end of every cascade.
@@ -504,7 +405,7 @@ class ScanTerminal final : public TerminalStage {
   std::unique_ptr<Measure> measure_;
 };
 
-/// A compiled per-query cascade: ordered filters then one terminal. When
+/// A compiled per-query cascade: the optional filter then one terminal. When
 /// `metrics` is non-null, every stage's candidate flow, step-count delta,
 /// early abandons, and wall time are attributed to its obs::StageId —
 /// including setup charged during construction — so the per-stage totals
@@ -549,35 +450,16 @@ class QueryCascade {
                 query, options, ScanTerminal::Mode::kFullBanded);
             break;
           case StageKind::kSignatureIndex:
-          case StageKind::kFftMagnitude:
           case StageKind::kVecSignature:
-          case StageKind::kLbImproved:
             break;  // not terminal
         }
         break;  // normalization guarantees the terminal is last
       }
-      switch (kind) {
-        case StageKind::kFftMagnitude: {
-          StageScope scope(StatsFor(obs::StageId::kFftFilter), counter);
-          filters_.push_back(
-              std::make_unique<FftMagnitudeFilter>(query, counter));
-          break;
-        }
-        case StageKind::kVecSignature: {
-          StageScope scope(StatsFor(obs::StageId::kVecSignature), counter);
-          filters_.push_back(std::make_unique<VecSignatureFilter>(
-              query, options.vec_sig_dims, vec_sig_rows, vec_sig_dims,
-              vec_sig_row_steps, counter));
-          break;
-        }
-        case StageKind::kLbImproved: {
-          StageScope scope(StatsFor(obs::StageId::kLbImproved), counter);
-          filters_.push_back(
-              std::make_unique<LbImprovedFilter>(query, options, counter));
-          break;
-        }
-        default:
-          break;  // terminals above; kSignatureIndex orders the visit
+      // kSignatureIndex orders the visit instead; the engine runs it.
+      if (kind == StageKind::kVecSignature) {
+        StageScope scope(StatsFor(obs::StageId::kVecSignature), counter);
+        filter_.emplace(query, options.vec_sig_dims, vec_sig_rows,
+                        vec_sig_dims, vec_sig_row_steps, counter);
       }
     }
     assert(terminal_ != nullptr && "cascade must be normalized");
@@ -586,17 +468,17 @@ class QueryCascade {
   CandidateMatch Compare(std::size_t index, const double* c, double threshold,
                          StepCounter* counter) {
     // Cooperative cancellation: the token is polled at every stage
-    // boundary — before each filter and before the terminal — so a fired
+    // boundary — before the filter and before the terminal — so a fired
     // deadline stops the cascade within one stage's work. Once fired, the
     // cascade stays cancelled and every later Compare is a no-op; the
     // driver checks cancelled() and abandons the scan.
     if (CheckCancelBoundary()) return CandidateMatch{};
-    for (const auto& filter : filters_) {
-      obs::StageStats* stats = StatsFor(filter->stage_id());
+    if (filter_.has_value()) {
+      obs::StageStats* stats = StatsFor(obs::StageId::kVecSignature);
       bool pruned;
       {
         StageScope scope(stats, counter);
-        pruned = filter->Prune(index, c, threshold, counter);
+        pruned = filter_->Prune(index, c, threshold, counter);
       }
       if (stats != nullptr) {
         ++stats->candidates_entered;
@@ -618,10 +500,10 @@ class QueryCascade {
     return m;
   }
 
-  /// Whether the whole cascade can score SoA tile groups: no filter stages
-  /// (a blocked pass would bypass them) and a terminal that opted in.
+  /// Whether the whole cascade can score SoA tile groups: no filter (a
+  /// blocked pass would bypass it) and a terminal that opted in.
   bool SupportsBlocked() const {
-    return filters_.empty() && terminal_->SupportsBlocked();
+    return !filter_.has_value() && terminal_->SupportsBlocked();
   }
 
   /// The terminal's wedge tree, or null (see TerminalStage::wedge_tree).
@@ -678,7 +560,7 @@ class QueryCascade {
   const CancelToken* cancel_;
   Status cancel_status_;
   obs::StageId terminal_id_ = obs::StageId::kExactScan;
-  std::vector<std::unique_ptr<FilterStage>> filters_;
+  std::optional<VecSignatureFilter> filter_;
   std::unique_ptr<TerminalStage> terminal_;
 };
 
@@ -1138,26 +1020,18 @@ CascadeSpec CascadeSpec::Normalized(DistanceKind kind) const {
   out.stages.clear();
   bool index = false;
   for (StageKind stage : stages) {
-    if (!IsTerminal(stage)) {
-      switch (stage) {
-        case StageKind::kSignatureIndex:
-          // Orders the visit rather than filtering it: one copy, placed in
-          // front below. Envelope and spectrum bounds do not bound LCSS.
-          index = index || kind != DistanceKind::kLcss;
-          continue;
-        case StageKind::kFftMagnitude:
-        case StageKind::kVecSignature:
-          // Magnitude-spectrum bounds hold for Euclidean distance only.
-          if (kind != DistanceKind::kEuclidean) continue;
-          break;
-        case StageKind::kLbImproved:
-          // LCSS similarity is not bounded by envelope gap sums.
-          if (kind == DistanceKind::kLcss) continue;
-          break;
-        default:
-          break;
+    if (stage == StageKind::kSignatureIndex) {
+      // Orders the visit rather than filtering it: one copy, placed in
+      // front below. Envelope and spectrum bounds do not bound LCSS.
+      index = index || kind != DistanceKind::kLcss;
+      continue;
+    }
+    if (stage == StageKind::kVecSignature) {
+      // Magnitude-spectrum bounds hold for Euclidean distance only, and a
+      // second copy would recompute the same bound.
+      if (kind == DistanceKind::kEuclidean && !HasStage(out, stage)) {
+        out.stages.push_back(stage);
       }
-      out.stages.push_back(stage);
       continue;
     }
     out.stages.push_back(stage);  // first terminal ends the cascade
@@ -1167,15 +1041,11 @@ CascadeSpec CascadeSpec::Normalized(DistanceKind kind) const {
     out.stages.push_back(StageKind::kExactScan);
   }
   // A BANDED lower bound does not lower-bound UNCONSTRAINED DTW (the
-  // kFullScan terminal computes band -1): keeping kLbImproved or the PAA
-  // index there would falsely dismiss true matches. kFullScanBanded and
-  // the other DTW terminals warp inside the configured band, where the
-  // bounds are exact.
+  // kFullScan terminal computes band -1): keeping the PAA index there
+  // would falsely dismiss true matches. kFullScanBanded and the other DTW
+  // terminals warp inside the configured band, where the bound is exact.
   if (kind == DistanceKind::kDtw &&
       out.stages.back() == StageKind::kFullScan) {
-    out.stages.erase(std::remove(out.stages.begin(), out.stages.end(),
-                                 StageKind::kLbImproved),
-                     out.stages.end());
     index = false;
   }
   if (index) {

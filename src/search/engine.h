@@ -25,14 +25,14 @@
 
 namespace rotind {
 
-/// One stage of the pruning cascade. A cascade is an ordered list of
-/// filters followed by one terminal (exact) evaluator: each filter is a
+/// One stage of the pruning cascade. A cascade is an optional visit order,
+/// an optional filter and one terminal (exact) evaluator: the filter is a
 /// cheap lower bound that discards candidates provably at or above the
-/// current threshold (Lemire's two-pass principle: bounds compose as
-/// increasingly tight filters), and the terminal stage computes the exact
-/// thresholded distance. Because every filter is a true lower bound
-/// (Propositions 1-2), any composition returns exactly the same matches as
-/// brute force — only the work differs.
+/// current threshold (bounds compose as increasingly tight filters, in
+/// front of the terminal's own LB_Keogh wedges), and the terminal stage
+/// computes the exact thresholded distance. Because every bound is a true
+/// lower bound (Propositions 1-2), any composition returns exactly the
+/// same matches as brute force — only the work differs.
 enum class StageKind {
   /// Visit order: the paper's disk index (Section 4.2, Table 7). Instead of
   /// testing each candidate, its lower bound picks which candidates the
@@ -44,25 +44,19 @@ enum class StageKind {
   /// for the in-memory and simulated backends, are computed at engine
   /// construction (EngineOptions::index_dims); other backends visit in id
   /// order with identical answers. Normalization moves it to the front
-  /// and drops it where it drops kLbImproved.
+  /// and drops it under kLcss and ahead of the unconstrained-DTW terminal
+  /// (kFullScan under kDtw), which a banded bound does not lower-bound.
   kSignatureIndex,
-  /// Filter: rotation-invariant FFT-magnitude lower bound (paper Section
-  /// 4.2). Sound for kEuclidean only; dropped for other measures.
-  kFftMagnitude,
   /// Filter: band-pooled rotation/mirror-invariant vector embedding
-  /// (fourier::VecSignature). Candidates are compared as resident rows
-  /// where the engine has them — a file backend's RIDX v2 signature
-  /// section, or, over an in-memory FlatDataset, one matrix the engine
-  /// builds on its first vec-signature query — and embedded one FFT per
-  /// candidate per query otherwise (see QueryEngine). Sound for
-  /// kEuclidean only; dropped for other measures.
+  /// (fourier::VecSignature). At EngineOptions::vec_sig_dims = n/2 it is
+  /// the paper's rotation-invariant FFT-magnitude lower bound (Section
+  /// 4.2), bit for bit. Candidates are compared as resident rows where the
+  /// engine has them — a file backend's RIDX v2 signature section, or,
+  /// over an in-memory FlatDataset, one matrix the engine builds on its
+  /// first vec-signature query — and embedded one FFT per candidate per
+  /// query otherwise (see QueryEngine). Sound for kEuclidean only; dropped
+  /// for other measures.
   kVecSignature,
-  /// Filter: two-pass LB_Improved (Lemire) against the query's rotation
-  /// wedge — the second-chance stage after LB_Keogh fails to prune. Sound
-  /// for kEuclidean (band 0) and banded kDtw; dropped for kLcss and for
-  /// the unconstrained-DTW terminal (kFullScan under kDtw), which a banded
-  /// bound does not lower-bound.
-  kLbImproved,
   /// Terminal: hierarchal LB_Keogh wedges + H-Merge + dynamic K (the
   /// paper's contribution). Exact.
   kWedge,
@@ -77,11 +71,11 @@ enum class StageKind {
 };
 
 /// An ordered pruning pipeline. Invalid compositions are normalized, never
-/// silently misinterpreted: filters that are unsound for the configured
-/// measure are dropped, everything after the first terminal stage is
-/// ignored, a filter-only cascade gets kExactScan appended, and
-/// kSignatureIndex (which orders the visit rather than filtering it) moves
-/// to the front.
+/// silently misinterpreted: a filter that is unsound for the configured
+/// measure is dropped, everything after the first terminal stage is
+/// ignored, a filter-only cascade gets kExactScan appended, kVecSignature
+/// is kept once, and kSignatureIndex (which orders the visit rather than
+/// filtering it) moves to the front, also once.
 struct CascadeSpec {
   std::vector<StageKind> stages = {StageKind::kWedge};
 
@@ -102,10 +96,11 @@ struct EngineOptions {
   WedgePolicy wedge;
   CascadeSpec cascade;
   /// Dimensionality of the kVecSignature filter's pooled embedding when the
-  /// backend has no stored RIDX v2 rows (clamped to n/2 per query); also
-  /// the width of the rows an in-memory engine builds on first use. A
-  /// file backend with a signature section overrides this: the stored
-  /// dimensionality is authoritative, since both sides must agree.
+  /// backend has no stored RIDX v2 rows (clamped to n/2 per query, where
+  /// the filter is the FFT-magnitude bound); also the width of the rows an
+  /// in-memory engine builds on first use. A file backend with a signature
+  /// section overrides this: the stored dimensionality is authoritative,
+  /// since both sides must agree.
   std::size_t vec_sig_dims = 8;
   /// Signature dimensionality of kSignatureIndex when the engine computes
   /// the signatures itself: FFT coefficients for kEuclidean (at most n/2),

@@ -103,78 +103,6 @@ double LbKeoghSqAvx2(const double* s, const double* upper, const double* lower,
   return acc;
 }
 
-double LbKeoghProjSqAvx2(const double* s, const double* upper,
-                         const double* lower, double* proj, std::size_t n,
-                         double sq_limit, std::size_t* examined) {
-  if (n > 0 && sq_limit < 0.0) {
-    // The scalar loop clamps the first point before noticing the limit is
-    // unmeetable; the examined prefix of proj must match bit-for-bit.
-    proj[0] = s[0] > upper[0]   ? upper[0]
-              : s[0] < lower[0] ? lower[0]
-                                : s[0];
-    *examined = 1;
-    return kInf;
-  }
-  const __m256d zero = _mm256_setzero_pd();
-  double acc = 0.0;
-  std::size_t i = 0;
-  alignas(kSimdAlignment) double terms[8];
-  for (; i + 8 <= n; i += 8) {
-    const __m256d s0 = _mm256_loadu_pd(s + i);
-    const __m256d s1 = _mm256_loadu_pd(s + i + 4);
-    const __m256d u0 = _mm256_loadu_pd(upper + i);
-    const __m256d u1 = _mm256_loadu_pd(upper + i + 4);
-    const __m256d l0 = _mm256_loadu_pd(lower + i);
-    const __m256d l1 = _mm256_loadu_pd(lower + i + 4);
-    // clamp = min(U, max(L, s)). The scalar branches return s's own bits
-    // whenever s is inside (including s == U or s == L with mixed zero
-    // signs), so s rides the tie-returns-second lane of both intrinsics:
-    // max(L, s) keeps s on a tie, min(U, .) keeps the max result on a tie.
-    _mm256_storeu_pd(proj + i, _mm256_min_pd(u0, _mm256_max_pd(l0, s0)));
-    _mm256_storeu_pd(proj + i + 4,
-                     _mm256_min_pd(u1, _mm256_max_pd(l1, s1)));
-    const __m256d d0 = _mm256_add_pd(
-        _mm256_max_pd(_mm256_sub_pd(s0, u0), zero),
-        _mm256_max_pd(_mm256_sub_pd(l0, s0), zero));
-    const __m256d d1 = _mm256_add_pd(
-        _mm256_max_pd(_mm256_sub_pd(s1, u1), zero),
-        _mm256_max_pd(_mm256_sub_pd(l1, s1), zero));
-    const int nz = _mm256_movemask_pd(_mm256_cmp_pd(d0, zero, _CMP_NEQ_OQ)) |
-                   _mm256_movemask_pd(_mm256_cmp_pd(d1, zero, _CMP_NEQ_OQ));
-    if (nz == 0) continue;  // whole block inside: acc unchanged, no checks
-    _mm256_store_pd(terms, _mm256_mul_pd(d0, d0));
-    _mm256_store_pd(terms + 4, _mm256_mul_pd(d1, d1));
-    for (std::size_t k = 0; k < 8; ++k) {
-      acc += terms[k];
-      if (acc > sq_limit) {
-        // proj is written through the block end — more than the examined
-        // prefix the contract promises, which is allowed (unspecified).
-        *examined = i + k + 1;
-        return kInf;
-      }
-    }
-  }
-  for (; i < n; ++i) {
-    if (s[i] > upper[i]) {
-      const double d = s[i] - upper[i];
-      acc += d * d;
-      proj[i] = upper[i];
-    } else if (s[i] < lower[i]) {
-      const double d = s[i] - lower[i];
-      acc += d * d;
-      proj[i] = lower[i];
-    } else {
-      proj[i] = s[i];
-    }
-    if (acc > sq_limit) {
-      *examined = i + 1;
-      return kInf;
-    }
-  }
-  *examined = n;
-  return acc;
-}
-
 void EdBlockFullAvx2(const double* q, const double* tile, std::size_t n,
                      double* out_sq) {
   __m256d acc0 = _mm256_setzero_pd();
@@ -274,8 +202,8 @@ double DtwRowAvx2(double qi, const double* c, const double* prev, double* curr,
 
 const KernelTable& Avx2Table() {
   static const KernelTable table = {
-      &LbKeoghSqAvx2, &LbKeoghProjSqAvx2,  &EdBlockFullAvx2,
-      &EnvMergeAvx2,  &EnvMergeSeriesAvx2, &DtwRowAvx2,
+      &LbKeoghSqAvx2,      &EdBlockFullAvx2, &EnvMergeAvx2,
+      &EnvMergeSeriesAvx2, &DtwRowAvx2,
   };
   return table;
 }

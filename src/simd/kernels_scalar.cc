@@ -40,34 +40,6 @@ double LbKeoghSqScalar(const double* s, const double* upper,
   return acc;
 }
 
-double LbKeoghProjSqScalar(const double* s, const double* upper,
-                           const double* lower, double* proj, std::size_t n,
-                           double sq_limit, std::size_t* examined) {
-  // LbKeoghSqScalar with the clamp fused in: the accumulator, comparison
-  // order, and abandonment points are IDENTICAL — only the proj[] stores
-  // are new. Keep the two loops in lockstep.
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (s[i] > upper[i]) {
-      const double d = s[i] - upper[i];
-      acc += d * d;
-      proj[i] = upper[i];
-    } else if (s[i] < lower[i]) {
-      const double d = s[i] - lower[i];
-      acc += d * d;
-      proj[i] = lower[i];
-    } else {
-      proj[i] = s[i];
-    }
-    if (acc > sq_limit) {
-      *examined = i + 1;
-      return kInf;
-    }
-  }
-  *examined = n;
-  return acc;
-}
-
 void EdBlockFullScalar(const double* q, const double* tile, std::size_t n,
                        double* out_sq) {
   for (std::size_t l = 0; l < kBlockLanes; ++l) out_sq[l] = 0.0;
@@ -120,8 +92,8 @@ double DtwRowScalar(double qi, const double* c, const double* prev,
 
 const KernelTable& ScalarTable() {
   static const KernelTable table = {
-      &LbKeoghSqScalar, &LbKeoghProjSqScalar,  &EdBlockFullScalar,
-      &EnvMergeScalar,  &EnvMergeSeriesScalar, &DtwRowScalar,
+      &LbKeoghSqScalar,      &EdBlockFullScalar, &EnvMergeScalar,
+      &EnvMergeSeriesScalar, &DtwRowScalar,
   };
   return table;
 }

@@ -9,9 +9,9 @@
 namespace rotind {
 namespace simd {
 
-/// The SIMD kernel layer: runtime-dispatched implementations of the hot
-/// loops (LB_Keogh accumulation, the fused LB_Improved projection pass,
-/// early-abandoning squared ED, envelope merge, DTW band row update), each
+/// The SIMD kernel layer: runtime-dispatched implementations of the five
+/// hot loops (LB_Keogh accumulation, blocked squared ED, envelope merge
+/// against an envelope and against a series, DTW band row update), each
 /// in a portable scalar tier and an AVX2 tier.
 ///
 /// Exactness contract: every AVX2 kernel is BIT-IDENTICAL to its scalar
@@ -57,17 +57,6 @@ struct KernelTable {
   double (*lb_keogh_sq)(const double* s, const double* upper,
                         const double* lower, std::size_t n, double sq_limit,
                         std::size_t* examined);
-
-  /// LB_Improved pass 1: identical accumulation, abandonment, and return
-  /// semantics to lb_keogh_sq (bit-for-bit, including *examined), fused
-  /// with the envelope projection proj[i] = clamp(s_i, L_i, U_i) — U_i when
-  /// s_i > U_i, L_i when s_i < L_i, s_i itself otherwise (ties keep s_i's
-  /// bits, so a -0.0 point inside a +0.0 envelope stays -0.0). On return,
-  /// proj[0 .. *examined) is valid; entries past an abandonment point are
-  /// unspecified (the caller only reads proj when the pass survived).
-  double (*lb_keogh_proj_sq)(const double* s, const double* upper,
-                             const double* lower, double* proj, std::size_t n,
-                             double sq_limit, std::size_t* examined);
 
   /// Full squared ED of one query rotation against kBlockLanes SoA-tiled
   /// candidates: out_sq[l] = sum_t (q[t] - tile[t*kBlockLanes + l])^2,

@@ -17,11 +17,13 @@
 #include "src/core/status.h"
 #include "src/datasets/synthetic.h"
 #include "src/search/engine.h"
+#include "tests/testing/compositions.h"
 
 namespace rotind {
 namespace {
 
 using std::chrono::steady_clock;
+using testing::Composition;
 
 TEST(CancelTokenTest, DefaultTokenNeverFires) {
   const CancelToken token;
@@ -70,22 +72,23 @@ TEST(CancelTokenTest, DeadlineWinsOverCancel) {
 }
 
 /// Every cascade composition the engine supports, exercised below under
-/// deadlines. Filters are per-measure normalized, so the fft and vecsig
-/// entries only differ from their suffix under kEuclidean — which the
-/// fixture uses (and where kSignatureIndex walks its VP-tree).
-std::vector<CascadeSpec> AllCascades() {
+/// deadlines over the fixture's series of length 48. The filter is
+/// per-measure normalized, so the vecsig entries only differ from their
+/// suffix under kEuclidean — which the fixture uses (and where
+/// kSignatureIndex walks its VP-tree). At 24 = n/2 dims the filter is the
+/// FFT-magnitude bound.
+std::vector<Composition> AllCascades() {
   return {
-      CascadeSpec{{StageKind::kWedge}},
-      CascadeSpec{{StageKind::kExactScan}},
-      CascadeSpec{{StageKind::kFullScan}},
-      CascadeSpec{{StageKind::kFullScanBanded}},
-      CascadeSpec{{StageKind::kFftMagnitude, StageKind::kWedge}},
-      CascadeSpec{{StageKind::kFftMagnitude, StageKind::kExactScan}},
-      CascadeSpec{{StageKind::kVecSignature, StageKind::kWedge}},
-      CascadeSpec{{StageKind::kVecSignature, StageKind::kExactScan}},
-      CascadeSpec{{StageKind::kLbImproved, StageKind::kExactScan}},
-      CascadeSpec{{StageKind::kSignatureIndex, StageKind::kWedge}},
-      CascadeSpec{{StageKind::kSignatureIndex, StageKind::kExactScan}},
+      {{StageKind::kWedge}},
+      {{StageKind::kExactScan}},
+      {{StageKind::kFullScan}},
+      {{StageKind::kFullScanBanded}},
+      {{StageKind::kVecSignature, StageKind::kWedge}, 24},
+      {{StageKind::kVecSignature, StageKind::kExactScan}, 24},
+      {{StageKind::kVecSignature, StageKind::kWedge}},
+      {{StageKind::kVecSignature, StageKind::kExactScan}},
+      {{StageKind::kSignatureIndex, StageKind::kWedge}},
+      {{StageKind::kSignatureIndex, StageKind::kExactScan}},
   };
 }
 
@@ -98,10 +101,8 @@ class DeadlineCascadeTest : public ::testing::Test {
     query_.assign(flat_.data(7), flat_.data(7) + flat_.length());
   }
 
-  QueryEngine Engine(const CascadeSpec& cascade) const {
-    EngineOptions options;
-    options.cascade = cascade;
-    return QueryEngine(flat_, options);
+  QueryEngine Engine(const Composition& cascade) const {
+    return QueryEngine(flat_, cascade.Into({}));
   }
 
   FlatDataset flat_;
@@ -109,7 +110,7 @@ class DeadlineCascadeTest : public ::testing::Test {
 };
 
 TEST_F(DeadlineCascadeTest, ExpiredDeadlineIsTypedForEveryCascade) {
-  for (const CascadeSpec& cascade : AllCascades()) {
+  for (const Composition& cascade : AllCascades()) {
     const QueryEngine engine = Engine(cascade);
     const CancelToken expired = CancelToken::WithDeadline(
         steady_clock::now() - std::chrono::milliseconds(1));
@@ -130,7 +131,7 @@ TEST_F(DeadlineCascadeTest, ExpiredDeadlineIsTypedForEveryCascade) {
 }
 
 TEST_F(DeadlineCascadeTest, GenerousDeadlineMatchesUncheckedExactly) {
-  for (const CascadeSpec& cascade : AllCascades()) {
+  for (const Composition& cascade : AllCascades()) {
     const QueryEngine engine = Engine(cascade);
     const ScanResult truth = engine.Search(query_);
     const CancelToken token =
@@ -158,7 +159,7 @@ TEST_F(DeadlineCascadeTest, RacingDeadlineNeverYieldsAWrongNeighbor) {
       EXPECT_EQ(got[i].distance, want[i].distance);
     }
   };
-  for (const CascadeSpec& cascade : AllCascades()) {
+  for (const Composition& cascade : AllCascades()) {
     const ScanResult nn_truth = Engine(cascade).Search(query_);
     const std::vector<Neighbor> knn_truth = Engine(cascade).Knn(query_, 4);
     for (const std::int64_t micros : {0, 1, 5, 20, 100, 1000, 5000000}) {
@@ -192,7 +193,7 @@ TEST_F(DeadlineCascadeTest, RacingDeadlineNeverYieldsAWrongNeighbor) {
 
 TEST_F(DeadlineCascadeTest, KillSwitchCancelsEveryCascade) {
   std::atomic<bool> kill{true};
-  for (const CascadeSpec& cascade : AllCascades()) {
+  for (const Composition& cascade : AllCascades()) {
     const QueryEngine engine = Engine(cascade);
     CancelToken token;
     token.AttachKillSwitch(&kill);
@@ -207,7 +208,7 @@ TEST_F(DeadlineCascadeTest, KillSwitchCancelsEveryCascade) {
 /// the atomic. The result is the exact answer or kCancelled; the flip
 /// must never corrupt it.
 TEST_F(DeadlineCascadeTest, MidFlightKillSwitchIsExactOrCancelled) {
-  const QueryEngine engine = Engine(CascadeSpec{{StageKind::kWedge}});
+  const QueryEngine engine = Engine({{StageKind::kWedge}});
   const ScanResult truth = engine.Search(query_);
   for (int round = 0; round < 8; ++round) {
     std::atomic<bool> kill{false};
@@ -227,7 +228,7 @@ TEST_F(DeadlineCascadeTest, MidFlightKillSwitchIsExactOrCancelled) {
 }
 
 TEST_F(DeadlineCascadeTest, NullTokenMeansNoCancellationOverhead) {
-  const QueryEngine engine = Engine(CascadeSpec{{StageKind::kWedge}});
+  const QueryEngine engine = Engine({{StageKind::kWedge}});
   const ScanResult truth = engine.Search(query_);
   const auto checked = engine.SearchChecked(query_, nullptr);
   ASSERT_TRUE(checked.ok());

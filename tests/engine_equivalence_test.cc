@@ -22,9 +22,12 @@
 #include "src/search/engine.h"
 #include "src/storage/backend.h"
 #include "src/storage/manifest.h"
+#include "tests/testing/compositions.h"
 
 namespace rotind {
 namespace {
+
+using testing::Composition;
 
 struct Workload {
   std::string name;
@@ -43,62 +46,30 @@ std::vector<Workload> MakeWorkloads() {
   return out;
 }
 
-/// All cascade compositions worth checking, beyond the paper's rival
-/// scans: the FFT filter in front of each terminal, including the novel
-/// fft+wedge pipeline. Under DTW the unbanded kFullScan computes a
-/// genuinely different (unconstrained) distance, so the full-scan terminal
-/// is the banded one there.
-std::vector<CascadeSpec> MakeCascades(DistanceKind kind) {
-  std::vector<CascadeSpec> out;
+/// All cascade compositions worth checking over series of length `n`,
+/// beyond the paper's rival scans: the vec-signature filter in front of
+/// each terminal, at n/2 (the FFT-magnitude bound) and at the default
+/// width. Under DTW the unbanded kFullScan computes a genuinely different
+/// (unconstrained) distance, so the full-scan terminal is the banded one
+/// there.
+std::vector<Composition> MakeCascades(DistanceKind kind, std::size_t n) {
+  std::vector<Composition> out;
   out.push_back({{kind == DistanceKind::kDtw ? StageKind::kFullScanBanded
                                              : StageKind::kFullScan}});
   out.push_back({{StageKind::kExactScan}});
   out.push_back({{StageKind::kWedge}});
-  out.push_back({{StageKind::kFftMagnitude, StageKind::kExactScan}});
-  out.push_back({{StageKind::kFftMagnitude, StageKind::kWedge}});
-  // LB_Improved second-chance stage in front of each exact terminal.
-  out.push_back({{StageKind::kLbImproved, StageKind::kExactScan}});
-  out.push_back({{StageKind::kLbImproved, StageKind::kWedge}});
   // Vec-signature pre-filter (normalization drops it under DTW — the
   // degenerate cascades double as a check that the drop preserves
-  // exactness), and the full four-stage pipeline.
+  // exactness).
+  out.push_back({{StageKind::kVecSignature, StageKind::kExactScan}, n / 2});
+  out.push_back({{StageKind::kVecSignature, StageKind::kWedge}, n / 2});
   out.push_back({{StageKind::kVecSignature, StageKind::kExactScan}});
-  out.push_back({{StageKind::kVecSignature, StageKind::kFftMagnitude,
-                  StageKind::kLbImproved, StageKind::kExactScan}});
   // The paper's disk index: the signature visit (VP-tree under ED, LB_PAA
   // order under DTW) in front of the wedge terminal and of the plain
   // early-abandoning scan, which builds its own wedges for the PAA bound.
   out.push_back({{StageKind::kSignatureIndex, StageKind::kWedge}});
   out.push_back({{StageKind::kSignatureIndex, StageKind::kExactScan}});
-  if (kind == DistanceKind::kDtw) {
-    out.push_back({{StageKind::kLbImproved, StageKind::kFullScanBanded}});
-  }
   return out;
-}
-
-std::string CascadeName(const CascadeSpec& spec) {
-  std::string name;
-  for (StageKind s : spec.stages) {
-    if (!name.empty()) name += "+";
-    switch (s) {
-      case StageKind::kSignatureIndex: name += "index"; break;
-      case StageKind::kFftMagnitude: name += "fft"; break;
-      case StageKind::kVecSignature: name += "vecsig"; break;
-      case StageKind::kLbImproved: name += "lbi"; break;
-      case StageKind::kWedge: name += "wedge"; break;
-      case StageKind::kExactScan: name += "ea"; break;
-      case StageKind::kFullScan: name += "full"; break;
-      case StageKind::kFullScanBanded: name += "full-banded"; break;
-    }
-  }
-  return name;
-}
-
-bool HasStage(const CascadeSpec& spec, StageKind kind) {
-  for (StageKind s : spec.stages) {
-    if (s == kind) return true;
-  }
-  return false;
 }
 
 class EngineEquivalenceTest
@@ -128,14 +99,11 @@ TEST_P(EngineEquivalenceTest, AllCompositionsAgreeWithBruteForce) {
       const double radius = ref_knn.back().distance * 1.01;
       const auto ref_range = reference.Range(query, radius);
 
-      for (const CascadeSpec& cascade : MakeCascades(kind)) {
-        EngineOptions options = reference_options;
-        options.cascade = cascade;
-        const QueryEngine engine(flat, options);
+      for (const Composition& c : MakeCascades(kind, flat.length())) {
+        const QueryEngine engine(flat, c.Into(reference_options));
         const std::string label = w.name + "/" + DistanceKindName(kind) +
                                   (mirror ? "/mirror" : "") + "/" +
-                                  CascadeName(cascade) + "/q" +
-                                  std::to_string(qi);
+                                  c.Name() + "/q" + std::to_string(qi);
 
         // 1-NN: same best distance; same index unless tied.
         const ScanResult got = engine.SearchLeaveOneOut(query, qi);
@@ -167,23 +135,23 @@ TEST_P(EngineEquivalenceTest, AllCompositionsAgreeWithBruteForce) {
         if (i != qi) rest.push_back(w.items[i]);
       }
       const FlatDataset rest_flat = FlatDataset::FromItems(rest);
-      std::vector<CascadeSpec> rivals = {
+      std::vector<Composition> rivals = {
           {{StageKind::kFullScanBanded}},
           {{StageKind::kExactScan}},
-          {{StageKind::kFftMagnitude, StageKind::kExactScan}},
+          {{StageKind::kVecSignature, StageKind::kExactScan},
+           rest_flat.length() / 2},
           {{StageKind::kWedge}}};
       if (kind != DistanceKind::kDtw) {
         // kFullScan under DTW is the unconstrained warp — a different
         // value than the banded reference, exact for every other kind.
         rivals.push_back({{StageKind::kFullScan}});
       }
-      for (const CascadeSpec& cascade : rivals) {
-        EngineOptions options = reference_options;
-        options.cascade = cascade;
-        const ScanResult got = QueryEngine(rest_flat, options).Search(query);
+      for (const Composition& c : rivals) {
+        const ScanResult got =
+            QueryEngine(rest_flat, c.Into(reference_options)).Search(query);
         EXPECT_NEAR(got.best_distance, ref.best_distance, 1e-9)
             << w.name << "/" << DistanceKindName(kind) << " rival "
-            << CascadeName(cascade);
+            << c.Name();
       }
     }
   }
@@ -254,12 +222,12 @@ TEST_P(BackendEquivalenceTest, AllBackendsReturnBitIdenticalResults) {
                            std::to_string(::getpid()) + ".ridx";
   ASSERT_TRUE(BuildIndexFile(ds, build, path).ok());
 
-  for (const CascadeSpec& cascade : MakeCascades(kind)) {
+  for (const Composition& c : MakeCascades(kind, flat.length())) {
     EngineOptions options;
     options.kind = kind;
     options.band = 4;
-    options.cascade = cascade;
     options.index_dims = 4;  // the RIDX signature widths above
+    options = c.Into(options);
 
     const QueryEngine memory(flat, options);
 
@@ -286,9 +254,8 @@ TEST_P(BackendEquivalenceTest, AllBackendsReturnBitIdenticalResults) {
 
       for (const QueryEngine* engine : engines) {
         const std::string label =
-            std::string(DistanceKindName(kind)) + "/" +
-            CascadeName(cascade) + "/" + engine->backend()->name() + "/q" +
-            std::to_string(qi);
+            std::string(DistanceKindName(kind)) + "/" + c.Name() + "/" +
+            engine->backend()->name() + "/q" + std::to_string(qi);
 
         const ScanResult got = engine->SearchLeaveOneOut(query, qi);
         EXPECT_EQ(got.best_index, ref.best_index) << label;
@@ -301,7 +268,7 @@ TEST_P(BackendEquivalenceTest, AllBackendsReturnBitIdenticalResults) {
         // doubles the embedding recomputes — but the file engine's step
         // ACCOUNTING legitimately differs, so only that assert is gated.
         const bool steps_comparable =
-            !HasStage(cascade, StageKind::kVecSignature) ||
+            !c.Has(StageKind::kVecSignature) ||
             engine->backend()->backend_kind() != storage::BackendKind::kFile;
         if (steps_comparable) {
           EXPECT_EQ(got.counter.total_steps(), ref.counter.total_steps())
@@ -388,14 +355,14 @@ TEST_P(ShardEquivalenceTest, ShardedMatchesMonolithicOverLiveRows) {
     ASSERT_TRUE(storage::WriteManifest(manifest, manifest_path).ok());
 
     for (const bool parallel : {false, true}) {
-      for (const CascadeSpec& cascade : MakeCascades(kind)) {
+      for (const Composition& c : MakeCascades(kind, base[0].size())) {
         ShardedOptions options;
         options.parallel_search = parallel;
         options.num_threads = 3;
         options.pool_pages = 4;
         options.engine.kind = kind;
         options.engine.band = 4;
-        options.engine.cascade = cascade;
+        options.engine = c.Into(options.engine);
         StatusOr<std::unique_ptr<ShardedIndex>> opened =
             ShardedIndex::Open(manifest_path, options);
         ASSERT_TRUE(opened.ok()) << opened.status().ToString();
@@ -435,8 +402,8 @@ TEST_P(ShardEquivalenceTest, ShardedMatchesMonolithicOverLiveRows) {
             const std::string label =
                 std::string(DistanceKindName(kind)) + "/s" +
                 std::to_string(shard_count) +
-                (parallel ? "/parallel" : "/serial") + "/" +
-                CascadeName(cascade) + "/stage" + std::to_string(stage) +
+                (parallel ? "/parallel" : "/serial") + "/" + c.Name() +
+                "/stage" + std::to_string(stage) +
                 "/q" + std::to_string(qi);
 
             const ScanResult ref = reference.Search(query);
@@ -447,8 +414,7 @@ TEST_P(ShardEquivalenceTest, ShardedMatchesMonolithicOverLiveRows) {
                                            ref.best_index)])
                 << label;
             EXPECT_EQ(got->best_distance, ref.best_distance) << label;
-            if (!parallel &&
-                !HasStage(cascade, StageKind::kSignatureIndex)) {
+            if (!parallel && !c.Has(StageKind::kSignatureIndex)) {
               EXPECT_EQ(got->counter.total_steps(),
                         ref.counter.total_steps())
                   << label;

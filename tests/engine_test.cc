@@ -30,17 +30,6 @@ TEST(CascadeSpecTest, DefaultIsWedge) {
   EXPECT_EQ(spec.stages[0], StageKind::kWedge);
 }
 
-TEST(CascadeSpecTest, FftFilterDroppedForNonEuclidean) {
-  CascadeSpec spec;
-  spec.stages = {StageKind::kFftMagnitude, StageKind::kExactScan};
-  const CascadeSpec ed = spec.Normalized(DistanceKind::kEuclidean);
-  ASSERT_EQ(ed.stages.size(), 2u);
-  EXPECT_EQ(ed.stages[0], StageKind::kFftMagnitude);
-  const CascadeSpec dtw = spec.Normalized(DistanceKind::kDtw);
-  ASSERT_EQ(dtw.stages.size(), 1u);
-  EXPECT_EQ(dtw.stages[0], StageKind::kExactScan);
-}
-
 TEST(CascadeSpecTest, StagesAfterFirstTerminalAreDropped) {
   CascadeSpec spec;
   spec.stages = {StageKind::kWedge, StageKind::kExactScan,
@@ -52,7 +41,7 @@ TEST(CascadeSpecTest, StagesAfterFirstTerminalAreDropped) {
 
 TEST(CascadeSpecTest, FilterOnlyCascadeGetsExactScanAppended) {
   CascadeSpec spec;
-  spec.stages = {StageKind::kFftMagnitude};
+  spec.stages = {StageKind::kVecSignature};
   const CascadeSpec norm = spec.Normalized(DistanceKind::kEuclidean);
   ASSERT_EQ(norm.stages.size(), 2u);
   EXPECT_EQ(norm.stages[1], StageKind::kExactScan);
@@ -80,58 +69,42 @@ TEST(CascadeSpecTest, VecSignatureIsEuclideanOnly) {
   }
 }
 
-TEST(CascadeSpecTest, LbImprovedSoundnessRules) {
+/// One filter kind, kept once: a second copy would recompute the same
+/// bound for every candidate it sees.
+TEST(CascadeSpecTest, DuplicateVecSignatureNormalizesToOne) {
   CascadeSpec spec;
-  spec.stages = {StageKind::kLbImproved, StageKind::kExactScan};
-
-  // Sound for Euclidean (band-0 specialization) and kept.
+  spec.stages = {StageKind::kVecSignature, StageKind::kVecSignature,
+                 StageKind::kSignatureIndex, StageKind::kVecSignature,
+                 StageKind::kWedge};
   const CascadeSpec ed = spec.Normalized(DistanceKind::kEuclidean);
-  ASSERT_EQ(ed.stages.size(), 2u);
-  EXPECT_EQ(ed.stages[0], StageKind::kLbImproved);
-
-  // Sound for banded DTW terminals.
-  const CascadeSpec dtw = spec.Normalized(DistanceKind::kDtw);
-  ASSERT_EQ(dtw.stages.size(), 2u);
-  EXPECT_EQ(dtw.stages[0], StageKind::kLbImproved);
-
-  // No LCSS lower bound exists: dropped.
-  const CascadeSpec lcss = spec.Normalized(DistanceKind::kLcss);
-  ASSERT_EQ(lcss.stages.size(), 1u);
-  EXPECT_EQ(lcss.stages[0], StageKind::kExactScan);
-
-  // A banded bound does NOT bound UNCONSTRAINED DTW: when the DTW terminal
-  // is kFullScan (which ignores the band), the filter must vanish.
-  CascadeSpec full;
-  full.stages = {StageKind::kLbImproved, StageKind::kFullScan};
-  const CascadeSpec dtw_full = full.Normalized(DistanceKind::kDtw);
-  ASSERT_EQ(dtw_full.stages.size(), 1u);
-  EXPECT_EQ(dtw_full.stages[0], StageKind::kFullScan);
-  // ...but stays ahead of the BANDED full scan, which it does bound.
-  CascadeSpec banded;
-  banded.stages = {StageKind::kLbImproved, StageKind::kFullScanBanded};
-  const CascadeSpec dtw_banded = banded.Normalized(DistanceKind::kDtw);
-  ASSERT_EQ(dtw_banded.stages.size(), 2u);
-  EXPECT_EQ(dtw_banded.stages[0], StageKind::kLbImproved);
-  // Under Euclidean, kFullScan has no band to ignore: the filter stays.
-  const CascadeSpec ed_full = full.Normalized(DistanceKind::kEuclidean);
-  ASSERT_EQ(ed_full.stages.size(), 2u);
-  EXPECT_EQ(ed_full.stages[0], StageKind::kLbImproved);
+  ASSERT_EQ(ed.stages.size(), 3u);
+  EXPECT_EQ(ed.stages[0], StageKind::kSignatureIndex);
+  EXPECT_EQ(ed.stages[1], StageKind::kVecSignature);
+  EXPECT_EQ(ed.stages[2], StageKind::kWedge);
+  CascadeSpec alone;
+  alone.stages = {StageKind::kVecSignature, StageKind::kVecSignature};
+  const CascadeSpec filled = alone.Normalized(DistanceKind::kEuclidean);
+  ASSERT_EQ(filled.stages.size(), 2u);
+  EXPECT_EQ(filled.stages[0], StageKind::kVecSignature);
+  EXPECT_EQ(filled.stages[1], StageKind::kExactScan);
 }
 
 /// kSignatureIndex orders the visit instead of filtering: normalization
-/// keeps one copy in front, and drops it exactly where it drops
-/// kLbImproved — under LCSS and ahead of unconstrained DTW.
+/// keeps one copy in front, and drops it under LCSS and ahead of
+/// unconstrained DTW. The Euclidean-only filter behind it stays under ED.
 TEST(CascadeSpecTest, SignatureIndexMovesToTheFront) {
   CascadeSpec spec;
-  spec.stages = {StageKind::kLbImproved, StageKind::kSignatureIndex,
+  spec.stages = {StageKind::kVecSignature, StageKind::kSignatureIndex,
                  StageKind::kSignatureIndex, StageKind::kWedge};
-  for (DistanceKind kind : {DistanceKind::kEuclidean, DistanceKind::kDtw}) {
-    const CascadeSpec out = spec.Normalized(kind);
-    ASSERT_EQ(out.stages.size(), 3u);
-    EXPECT_EQ(out.stages[0], StageKind::kSignatureIndex);
-    EXPECT_EQ(out.stages[1], StageKind::kLbImproved);
-    EXPECT_EQ(out.stages[2], StageKind::kWedge);
-  }
+  const CascadeSpec ed = spec.Normalized(DistanceKind::kEuclidean);
+  ASSERT_EQ(ed.stages.size(), 3u);
+  EXPECT_EQ(ed.stages[0], StageKind::kSignatureIndex);
+  EXPECT_EQ(ed.stages[1], StageKind::kVecSignature);
+  EXPECT_EQ(ed.stages[2], StageKind::kWedge);
+  const CascadeSpec dtw = spec.Normalized(DistanceKind::kDtw);
+  ASSERT_EQ(dtw.stages.size(), 2u);
+  EXPECT_EQ(dtw.stages[0], StageKind::kSignatureIndex);
+  EXPECT_EQ(dtw.stages[1], StageKind::kWedge);
   const CascadeSpec lcss = spec.Normalized(DistanceKind::kLcss);
   ASSERT_EQ(lcss.stages.size(), 1u);
   EXPECT_EQ(lcss.stages[0], StageKind::kWedge);

@@ -38,13 +38,16 @@ TEST(IntegrationTest, RasterShapeRetrievalUnderRotation) {
   const Series query = ShapeToSeries(bitmaps[5].Rotated(1.1), n);
   ASSERT_FALSE(query.empty());
 
+  EngineOptions options;
+  options.vec_sig_dims = n / 2;  // the FFT rival's bound
   for (const std::vector<StageKind>& stages :
        {std::vector<StageKind>{StageKind::kFullScan},
         std::vector<StageKind>{StageKind::kExactScan},
-        std::vector<StageKind>{StageKind::kFftMagnitude,
+        std::vector<StageKind>{StageKind::kVecSignature,
                                StageKind::kExactScan},
         std::vector<StageKind>{StageKind::kWedge}}) {
-    const ScanResult r = FlatEngine(db, WithStages({}, stages))->Search(query);
+    const ScanResult r =
+        FlatEngine(db, WithStages(options, stages))->Search(query);
     EXPECT_EQ(r.best_index, 5)
         << "first stage " << static_cast<int>(stages[0]);
   }

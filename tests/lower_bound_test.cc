@@ -165,11 +165,6 @@ TEST(AbandonSentinelTest, KAbandonedIsPositiveInfinityEverywhere) {
   EXPECT_EQ(sq, kAbandoned);
   const double lb = EarlyAbandonLbKeogh(q.data(), env, 1.0);
   EXPECT_EQ(lb, kAbandoned);
-  const double lbi = LbImproved(q.data(), env, 0, 1.0);
-  EXPECT_EQ(lbi, kAbandoned);
-  const Envelope expanded = env.ExpandedForDtw(2);
-  const double lbi_sq = LbImprovedSquared(q.data(), env, expanded, 2, 1.0);
-  EXPECT_EQ(lbi_sq, kAbandoned);
 }
 
 TEST(LbKeoghTest, TighterWedgeGivesTighterBound) {

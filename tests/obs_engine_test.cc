@@ -23,40 +23,26 @@
 #include "src/datasets/synthetic.h"
 #include "src/obs/metrics.h"
 #include "src/search/engine.h"
+#include "tests/testing/compositions.h"
 
 namespace rotind {
 namespace {
 
-std::vector<CascadeSpec> MakeCascades(DistanceKind kind) {
-  std::vector<CascadeSpec> out;
+using testing::Composition;
+
+/// Every terminal, then the vec-signature filter in front of ea and wedge
+/// at n/2 (the FFT-magnitude bound) and in front of ea at the default
+/// width, over series of length `n`.
+std::vector<Composition> MakeCascades(DistanceKind kind, std::size_t n) {
+  std::vector<Composition> out;
   out.push_back({{kind == DistanceKind::kDtw ? StageKind::kFullScanBanded
                                              : StageKind::kFullScan}});
   out.push_back({{StageKind::kExactScan}});
   out.push_back({{StageKind::kWedge}});
-  out.push_back({{StageKind::kFftMagnitude, StageKind::kExactScan}});
-  out.push_back({{StageKind::kFftMagnitude, StageKind::kWedge}});
-  out.push_back({{StageKind::kLbImproved, StageKind::kExactScan}});
-  out.push_back({{StageKind::kVecSignature, StageKind::kFftMagnitude,
-                  StageKind::kLbImproved, StageKind::kExactScan}});
+  out.push_back({{StageKind::kVecSignature, StageKind::kExactScan}, n / 2});
+  out.push_back({{StageKind::kVecSignature, StageKind::kWedge}, n / 2});
+  out.push_back({{StageKind::kVecSignature, StageKind::kExactScan}});
   return out;
-}
-
-std::string CascadeName(const CascadeSpec& spec) {
-  std::string name;
-  for (StageKind s : spec.stages) {
-    if (!name.empty()) name += "+";
-    switch (s) {
-      case StageKind::kSignatureIndex: name += "index"; break;
-      case StageKind::kFftMagnitude: name += "fft"; break;
-      case StageKind::kVecSignature: name += "vecsig"; break;
-      case StageKind::kLbImproved: name += "lbi"; break;
-      case StageKind::kWedge: name += "wedge"; break;
-      case StageKind::kExactScan: name += "ea"; break;
-      case StageKind::kFullScan: name += "full"; break;
-      case StageKind::kFullScanBanded: name += "full-banded"; break;
-    }
-  }
-  return name;
 }
 
 /// Asserts the deterministic (non-wall-clock) counters of two metrics
@@ -95,17 +81,15 @@ TEST_P(ObsEngineTest, AttributionIsExactAndZeroCostWhenNull) {
   const std::vector<Series> items = MakeHeterogeneousDatabase(22, 40, 303);
   const FlatDataset flat = FlatDataset::FromItems(items);
 
-  for (const CascadeSpec& cascade : MakeCascades(kind)) {
+  for (const Composition& c : MakeCascades(kind, flat.length())) {
     EngineOptions options;
     options.kind = kind;
     options.band = 4;
-    options.cascade = cascade;
-    const QueryEngine engine(flat, options);
+    const QueryEngine engine(flat, c.Into(options));
 
     for (std::size_t qi : {0u, 7u, 15u}) {
       const std::string label = std::string(DistanceKindName(kind)) + "/" +
-                                CascadeName(cascade) + "/q" +
-                                std::to_string(qi);
+                                c.Name() + "/q" + std::to_string(qi);
       const Series& query = items[qi];
 
       const ScanResult plain = engine.SearchLeaveOneOut(query, qi);
@@ -138,6 +122,13 @@ TEST_P(ObsEngineTest, AttributionIsExactAndZeroCostWhenNull) {
         max_entered = std::max(max_entered, s.candidates_entered);
       }
       EXPECT_TRUE(any_used) << label;
+      // Reserved ids: no stage writes them.
+      for (const obs::StageId reserved :
+           {obs::StageId::kFftFilter, obs::StageId::kLbImproved,
+            obs::StageId::kRefine}) {
+        EXPECT_FALSE(m.stage(reserved).used)
+            << label << " stage " << obs::StageName(reserved);
+      }
       // Candidate flow is monotone along the pipeline and each candidate
       // enters each stage at most once, so the largest entered count across
       // used stages belongs to the cascade entry point: it must have seen

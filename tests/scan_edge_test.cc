@@ -29,18 +29,20 @@ std::vector<Series> RandomDatabase(Rng* rng, std::size_t m, std::size_t n) {
 
 TEST(ScanEdgeTest, FftAlgorithmUnderDtwIsStillExact) {
   // FFT magnitudes do not bound DTW; the scan must degrade gracefully to
-  // an exact scan rather than silently using the Euclidean bound.
+  // an exact scan rather than silently using the Euclidean bound. The FFT
+  // rival is the vec-signature filter at n/2 dims.
   Rng rng(1);
   const std::size_t n = 24;
   const auto db = RandomDatabase(&rng, 20, n);
   EngineOptions options;
   options.kind = DistanceKind::kDtw;
   options.band = 3;
+  options.vec_sig_dims = n / 2;
   const FlatEngine banded(db,
                           WithStages(options, {StageKind::kFullScanBanded}));
   const FlatEngine fft_scan(
       db, WithStages(options,
-                     {StageKind::kFftMagnitude, StageKind::kExactScan}));
+                     {StageKind::kVecSignature, StageKind::kExactScan}));
   for (int trial = 0; trial < 3; ++trial) {
     Series q = RandomDatabase(&rng, 1, n)[0];
     const ScanResult reference = banded->Search(q);
@@ -54,13 +56,16 @@ TEST(ScanEdgeTest, SingleObjectDatabase) {
   Rng rng(2);
   const auto db = RandomDatabase(&rng, 1, 16);
   const Series q = RandomDatabase(&rng, 1, 16)[0];
+  EngineOptions options;
+  options.vec_sig_dims = 8;  // n/2: the FFT-magnitude bound
   for (const std::vector<StageKind>& stages :
        {std::vector<StageKind>{StageKind::kFullScan},
         std::vector<StageKind>{StageKind::kExactScan},
-        std::vector<StageKind>{StageKind::kFftMagnitude,
+        std::vector<StageKind>{StageKind::kVecSignature,
                                StageKind::kExactScan},
         std::vector<StageKind>{StageKind::kWedge}}) {
-    const ScanResult r = FlatEngine(db, WithStages({}, stages))->Search(q);
+    const ScanResult r =
+        FlatEngine(db, WithStages(options, stages))->Search(q);
     EXPECT_EQ(r.best_index, 0);
     EXPECT_TRUE(std::isfinite(r.best_distance));
   }
@@ -128,12 +133,13 @@ TEST(ScanEdgeTest, AllAlgorithmsAgreeUnderRotationLimit) {
   const auto db = RandomDatabase(&rng, 20, n);
   EngineOptions options;
   options.rotation.max_shift = 4;
+  options.vec_sig_dims = n / 2;
   const Series q = RandomDatabase(&rng, 1, n)[0];
   const ScanResult brute =
       FlatEngine(db, WithStages(options, {StageKind::kFullScan}))->Search(q);
   for (const std::vector<StageKind>& stages :
        {std::vector<StageKind>{StageKind::kExactScan},
-        std::vector<StageKind>{StageKind::kFftMagnitude,
+        std::vector<StageKind>{StageKind::kVecSignature,
                                StageKind::kExactScan},
         std::vector<StageKind>{StageKind::kWedge}}) {
     const ScanResult r = FlatEngine(db, WithStages(options, stages))->Search(q);

@@ -152,15 +152,18 @@ TEST(SimdEngineTest, BlockedFullScanMatchesUnderRotationLimits) {
   }
 }
 
-/// A cascade with an FFT filter in front cannot take the blocked path (it
-/// would bypass the filter); the engine must silently fall back and still
-/// agree. This guards SupportsBlocked(), not the kernels.
+/// A cascade with a filter in front cannot take the blocked path (it would
+/// bypass the filter); the engine must silently fall back and still agree.
+/// kFullScan is the terminal because it takes the blocked path when it
+/// stands alone, so only the filter keeps this scan off it. This guards
+/// SupportsBlocked(), not the kernels.
 TEST(SimdEngineTest, FilteredCascadeFallsBackAndAgrees) {
   const std::vector<Series> items = MakeProjectilePointsDatabase(17, 33, 877);
   const FlatDataset flat = FlatDataset::FromItems(items);
   EngineOptions options;
   options.kind = DistanceKind::kEuclidean;
-  options.cascade.stages = {StageKind::kFftMagnitude, StageKind::kExactScan};
+  options.cascade.stages = {StageKind::kVecSignature, StageKind::kFullScan};
+  options.vec_sig_dims = 16;  // n/2: the FFT-magnitude bound
   EnginePair pair(flat, options);
   for (std::size_t qi : {0u, 8u, 16u}) {
     const ScanResult got = pair.blocked->SearchLeaveOneOut(items[qi], qi);

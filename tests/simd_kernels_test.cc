@@ -72,7 +72,6 @@ TEST(SimdDispatchTest, TablesAreFullyPopulated) {
   for (Tier tier : {Tier::kScalar, Tier::kAvx2}) {
     const KernelTable& k = KernelsFor(tier);
     EXPECT_NE(k.lb_keogh_sq, nullptr);
-    EXPECT_NE(k.lb_keogh_proj_sq, nullptr);
     EXPECT_NE(k.ed_block_full, nullptr);
     EXPECT_NE(k.env_merge, nullptr);
     EXPECT_NE(k.env_merge_series, nullptr);
@@ -175,79 +174,6 @@ TEST_F(SimdParityTest, LbKeoghMatchesOnRotationsAndMirrors) {
         EXPECT_EQ(se, ve)
             << "item=" << item << " shift=" << shift << " limit=" << limit;
       }
-    }
-  }
-}
-
-/// LB_Improved pass 1 (fused projection): the return value, abandonment
-/// index, AND the projection prefix proj[0, examined) must all match the
-/// scalar tier bit-for-bit — and the non-projection outputs must equal
-/// plain lb_keogh_sq exactly, since the engine mixes the two kernels.
-TEST_F(SimdParityTest, LbKeoghProjMatchesBitForBit) {
-  Rng rng(109);
-  for (std::size_t n : kLengths) {
-    const std::vector<double> s = RandomSeries(&rng, n, 1.0);
-    const std::vector<double> a = RandomSeries(&rng, n, 1.0);
-    const std::vector<double> b = RandomSeries(&rng, n, 1.0);
-    std::vector<double> upper(n);
-    std::vector<double> lower(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      upper[i] = std::max(a[i], b[i]);
-      lower[i] = std::min(a[i], b[i]);
-    }
-    std::size_t ref_examined = 0;
-    const double full = scalar_.lb_keogh_sq(s.data(), upper.data(),
-                                            lower.data(), n, kInf,
-                                            &ref_examined);
-    for (double limit : {kInf, full, full * 0.5, 0.0, -1.0}) {
-      std::size_t se = 0;
-      std::size_t ve = 0;
-      std::size_t pe = 0;
-      std::vector<double> sproj(n, -7.0);
-      std::vector<double> vproj(n, -7.0);
-      const double sr = scalar_.lb_keogh_proj_sq(
-          s.data(), upper.data(), lower.data(), sproj.data(), n, limit, &se);
-      const double vr = avx2_.lb_keogh_proj_sq(
-          s.data(), upper.data(), lower.data(), vproj.data(), n, limit, &ve);
-      const double pr = scalar_.lb_keogh_sq(s.data(), upper.data(),
-                                            lower.data(), n, limit, &pe);
-      EXPECT_TRUE(BitEqual(sr, vr)) << "n=" << n << " limit=" << limit;
-      EXPECT_EQ(se, ve) << "n=" << n << " limit=" << limit;
-      // Fusion must not change what lb_keogh_sq would have computed.
-      EXPECT_TRUE(BitEqual(sr, pr)) << "n=" << n << " limit=" << limit;
-      EXPECT_EQ(se, pe) << "n=" << n << " limit=" << limit;
-      for (std::size_t i = 0; i < se; ++i) {
-        EXPECT_TRUE(BitEqual(sproj[i], vproj[i]))
-            << "n=" << n << " limit=" << limit << " i=" << i;
-        // The projection is the clamp of s onto [lower, upper].
-        const double expect = s[i] > upper[i] ? upper[i]
-                              : s[i] < lower[i] ? lower[i]
-                                                : s[i];
-        EXPECT_TRUE(BitEqual(sproj[i], expect))
-            << "n=" << n << " limit=" << limit << " i=" << i;
-      }
-    }
-  }
-}
-
-/// Signed-zero tie-breaking: a -0.0 point sitting exactly on a +/-0.0
-/// envelope edge must keep the POINT's bits in both tiers (the documented
-/// "ties keep s_i" rule — min/max return their second operand on ties).
-TEST_F(SimdParityTest, LbKeoghProjPreservesSignedZeroTies) {
-  const std::size_t n = 9;
-  const std::vector<double> s = {-0.0, 0.0, -0.0, 0.0, -0.0,
-                                 0.0,  -0.0, 0.0, -0.0};
-  const std::vector<double> upper(n, 0.0);
-  std::vector<double> lower(n, -0.0);
-  for (const KernelTable* k : {&scalar_, &avx2_}) {
-    std::size_t examined = 0;
-    std::vector<double> proj(n, 99.0);
-    const double r = k->lb_keogh_proj_sq(s.data(), upper.data(), lower.data(),
-                                         proj.data(), n, kInf, &examined);
-    EXPECT_TRUE(BitEqual(r, 0.0));
-    ASSERT_EQ(examined, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_TRUE(BitEqual(proj[i], s[i])) << "i=" << i;
     }
   }
 }

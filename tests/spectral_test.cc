@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -255,19 +258,42 @@ TEST(VecSignatureTest, CheckedVariantsRejectMisuse) {
   EXPECT_EQ(counter.steps, 8u);  // charges dims steps, like SignatureDistance
 }
 
-/// Pooling at dims == n/2 degenerates to one bin per band: the pooled
-/// vector IS the |.|-weighted magnitude spectrum, so the two embeddings'
-/// distances coincide there.
+/// Pooling at dims == n/2 degenerates to one bin per band, where each
+/// value is sqrt(0 + x * x) for a magnitude x >= 0, which IEEE arithmetic
+/// returns as x exactly. So the pooled vector IS the weighted magnitude
+/// spectrum, bit for bit, and so are the two distances. The FFT rival
+/// (the vec-signature filter at n/2) rests on this: odd and even n, with
+/// and without a Nyquist bin, the single-bin n = 2 and n = 3 included.
 TEST(VecSignatureTest, FullDimsMatchesSpectralSignatureDistance) {
+  const auto bits = [](double v) {
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+  };
+  const auto same_bits = [&](const std::vector<double>& a,
+                             const std::vector<double>& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (bits(a[i]) != bits(b[i])) return false;
+    }
+    return true;
+  };
   Rng rng(14);
-  const std::size_t n = 48;
-  const Series q = RandomZNormSeries(&rng, n);
-  const Series c = RandomZNormSeries(&rng, n);
-  const VecSignature vq = MakeVecSignature(q, n / 2);
-  const VecSignature vc = MakeVecSignature(c, n / 2);
-  const SpectralSignature sq = MakeSpectralSignature(q, n / 2);
-  const SpectralSignature sc = MakeSpectralSignature(c, n / 2);
-  EXPECT_NEAR(VecSignatureDistance(vq, vc), SignatureDistance(sq, sc), 1e-9);
+  for (const std::size_t n : {2u, 3u, 48u, 127u, 128u, 251u}) {
+    for (int pair = 0; pair < 8; ++pair) {
+      const Series q = RandomZNormSeries(&rng, n);
+      const Series c = RandomZNormSeries(&rng, n);
+      const VecSignature vq = MakeVecSignature(q, n / 2);
+      const VecSignature vc = MakeVecSignature(c, n / 2);
+      const SpectralSignature sq = MakeSpectralSignature(q, n / 2);
+      const SpectralSignature sc = MakeSpectralSignature(c, n / 2);
+      EXPECT_TRUE(same_bits(vq.values, sq.values)) << "n=" << n;
+      EXPECT_TRUE(same_bits(vc.values, sc.values)) << "n=" << n;
+      EXPECT_EQ(bits(VecSignatureDistance(vq, vc)),
+                bits(SignatureDistance(sq, sc)))
+          << "n=" << n;
+    }
+  }
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 ///                   --m 1000 --n 251 --seed 1 --out db.csv [--binary]
 ///   rotind info     --db db.csv
 ///   rotind search   --db db.csv --query-index 5 [--algo wedge|brute|ea|fft]
-///                   [--cascade vecsig,fft,lbi,ea] [--dtw --band 5]
+///                   [--cascade vecsig,ea] [--dtw --band 5]
 ///                   [--mirror] [--max-shift S] [--metrics-json out.json]
 ///   rotind knn      --db db.csv --query-index 5 --k 5 [...]
 ///                   [--cascade ...] [--metrics-json out.json]
@@ -45,14 +45,14 @@
 /// backends is the storage-roundtrip check CI runs.
 ///
 /// --algo picks a preset pipeline for `search` and `knn`: wedge, brute
-/// (full, or fullband under --dtw), ea, or fft (fft,ea). --cascade
-/// overrides it with an explicit pipeline: a comma-separated list of
-/// stages from vecsig (pooled rotation-invariant signature filter), fft
-/// (FFT-magnitude filter), lbi (two-pass LB_Improved filter), wedge
+/// (full, or fullband under --dtw), ea, or fft (the paper's FFT-magnitude
+/// bound in front of ea: vecsig at n/2 dimensions). --cascade overrides it
+/// with an explicit pipeline: a comma-separated list of stages from vecsig
+/// (pooled rotation-invariant signature filter, 8 dimensions), wedge
 /// (hierarchal wedge terminal), ea (early-abandoning scan terminal), full
 /// / fullband (exhaustive terminals). Unsound compositions are normalized,
-/// not rejected: filters that do not lower-bound the configured measure
-/// are dropped and a filter-only list gets `ea` appended, so the answers
+/// not rejected: a filter that does not lower-bound the configured measure
+/// is dropped and a filter-only list gets `ea` appended, so the answers
 /// stay exact.
 ///
 /// Databases are UCR-format text (label,v1,v2,...) or the binary format
@@ -226,7 +226,7 @@ bool ParseDoubleFlag(const char* flag, const char* text, double min,
 }
 
 /// Parses a comma-separated --cascade stage list into a CascadeSpec.
-/// Stage names mirror the StageKind enum: filters vecsig|fft|lbi, terminals
+/// Stage names mirror the StageKind enum: the filter vecsig, terminals
 /// wedge|ea|full|fullband. Soundness normalization (dropping filters that
 /// do not lower-bound the configured measure) is the engine's job, not the
 /// parser's — the CLI only rejects names it does not know.
@@ -240,10 +240,6 @@ bool ParseCascadeFlag(const std::string& text, CascadeSpec* out) {
                                                       : comma - start);
     if (token == "vecsig") {
       out->stages.push_back(StageKind::kVecSignature);
-    } else if (token == "fft") {
-      out->stages.push_back(StageKind::kFftMagnitude);
-    } else if (token == "lbi") {
-      out->stages.push_back(StageKind::kLbImproved);
     } else if (token == "wedge") {
       out->stages.push_back(StageKind::kWedge);
     } else if (token == "ea") {
@@ -255,7 +251,7 @@ bool ParseCascadeFlag(const std::string& text, CascadeSpec* out) {
     } else {
       std::fprintf(stderr,
                    "--cascade: unknown stage '%s' (use "
-                   "vecsig|fft|lbi|wedge|ea|full|fullband)\n",
+                   "vecsig|wedge|ea|full|fullband)\n",
                    token.c_str());
       return false;
     }
@@ -531,17 +527,42 @@ bool ValidateArgsAgainstDb(const Args& args, const Dataset& db) {
   return true;
 }
 
-/// Engine configuration for `search`/`knn`: the stages of the --algo
-/// preset, or the --cascade pipeline when one is given. The engine
-/// normalizes the spec for the configured measure, so an unsound filter is
-/// dropped rather than producing wrong answers: under --dtw the fft preset
-/// runs as plain ea.
-EngineOptions MakeEngineOptions(const Args& args) {
+/// The distance measure --dtw selects.
+DistanceKind MeasureKind(const Args& args) {
+  return args.dtw ? DistanceKind::kDtw : DistanceKind::kEuclidean;
+}
+
+/// The rotations --mirror and --max-shift admit.
+RotationOptions RotationFlags(const Args& args) {
+  RotationOptions rotation;
+  rotation.mirror = args.mirror;
+  rotation.max_shift = args.max_shift;
+  return rotation;
+}
+
+/// Copies the measure flags (--dtw, --band, --mirror, --max-shift) into
+/// an EngineOptions or a MiningOptions.
+template <typename Options>
+void ApplyMeasureFlags(const Args& args, Options* options) {
+  options->kind = MeasureKind(args);
+  options->band = args.band;
+  options->rotation = RotationFlags(args);
+}
+
+/// The buffer-pool eviction policy --eviction names.
+storage::EvictionPolicy EvictionFlag(const Args& args) {
+  return args.eviction == "clock" ? storage::EvictionPolicy::kClock
+                                  : storage::EvictionPolicy::kLru;
+}
+
+/// Engine configuration for `search`/`knn` over series of `length`: the
+/// stages of the --algo preset, or the --cascade pipeline when one is
+/// given. The engine normalizes the spec for the configured measure, so an
+/// unsound filter is dropped rather than producing wrong answers: under
+/// --dtw the fft preset runs as plain ea.
+EngineOptions MakeEngineOptions(const Args& args, std::size_t length) {
   EngineOptions options;
-  options.kind = args.dtw ? DistanceKind::kDtw : DistanceKind::kEuclidean;
-  options.band = args.band;
-  options.rotation.mirror = args.mirror;
-  options.rotation.max_shift = args.max_shift;
+  ApplyMeasureFlags(args, &options);
   if (!args.cascade.empty()) {
     options.cascade = args.cascade_spec;
   } else if (args.algo == "brute") {
@@ -550,7 +571,9 @@ EngineOptions MakeEngineOptions(const Args& args) {
   } else if (args.algo == "ea") {
     options.cascade.stages = {StageKind::kExactScan};
   } else if (args.algo == "fft") {
-    options.cascade.stages = {StageKind::kFftMagnitude, StageKind::kExactScan};
+    // One band per bin: the paper's FFT-magnitude bound (Section 4.2).
+    options.cascade.stages = {StageKind::kVecSignature, StageKind::kExactScan};
+    options.vec_sig_dims = length / 2;
   } else {
     options.cascade.stages = {StageKind::kWedge};
   }
@@ -637,7 +660,7 @@ int CmdSearch(const Args& args, const Dataset& db) {
   // the database, no index remapping).
   const std::size_t qi = static_cast<std::size_t>(args.query_index);
   const FlatDataset flat = FlatDataset::FromDataset(db);
-  const QueryEngine engine(flat, MakeEngineOptions(args));
+  const QueryEngine engine(flat, MakeEngineOptions(args, db.length()));
   const Status valid = engine.ValidateQuery(db.items[qi]);
   if (!valid.ok()) {
     std::fprintf(stderr, "search failed: %s\n", valid.ToString().c_str());
@@ -660,7 +683,7 @@ int CmdSearch(const Args& args, const Dataset& db) {
 int CmdKnn(const Args& args, const Dataset& db) {
   const std::size_t qi = static_cast<std::size_t>(args.query_index);
   const FlatDataset flat = FlatDataset::FromDataset(db);
-  const QueryEngine engine(flat, MakeEngineOptions(args));
+  const QueryEngine engine(flat, MakeEngineOptions(args, db.length()));
   const Status valid = engine.ValidateQuery(db.items[qi]);
   if (!valid.ok()) {
     std::fprintf(stderr, "knn failed: %s\n", valid.ToString().c_str());
@@ -686,12 +709,8 @@ int CmdClassify(const Args& args, const Dataset& db) {
     std::fprintf(stderr, "database has no labels\n");
     return 2;
   }
-  RotationOptions rotation;
-  rotation.mirror = args.mirror;
-  rotation.max_shift = args.max_shift;
   const ClassificationResult r = LeaveOneOutOneNnRotationInvariant(
-      db, args.dtw ? DistanceKind::kDtw : DistanceKind::kEuclidean,
-      args.band, rotation, args.threads);
+      db, MeasureKind(args), args.band, RotationFlags(args), args.threads);
   std::printf("leave-one-out 1-NN error: %d / %d = %.2f%%\n", r.errors,
               r.total, 100.0 * r.error_rate());
   return 0;
@@ -884,10 +903,7 @@ int CmdIndexSearch(const Args& args) {
     return 2;
   }
   EngineOptions options;
-  options.kind = args.dtw ? DistanceKind::kDtw : DistanceKind::kEuclidean;
-  options.band = args.band;
-  options.rotation.mirror = args.mirror;
-  options.rotation.max_shift = args.max_shift;
+  ApplyMeasureFlags(args, &options);
   options.index_dims = args.dtw ? args.paa_dims : args.dims;
   options.cascade.stages = {StageKind::kSignatureIndex, StageKind::kWedge};
 
@@ -899,9 +915,7 @@ int CmdIndexSearch(const Args& args) {
     options.storage.backend = storage::BackendKind::kFile;
     options.storage.index_path = args.index_path;
     options.storage.pool_pages = args.pool_pages;
-    options.storage.eviction = args.eviction == "clock"
-                                   ? storage::EvictionPolicy::kClock
-                                   : storage::EvictionPolicy::kLru;
+    options.storage.eviction = EvictionFlag(args);
   } else {
     if (args.db_path.empty()) {
       std::fprintf(stderr, "index search --backend %s needs --db\n",
@@ -1029,10 +1043,7 @@ int CmdMotif(const Args& args, const Dataset& db, bool discord) {
     return 2;
   }
   MiningOptions options;
-  options.kind = args.dtw ? DistanceKind::kDtw : DistanceKind::kEuclidean;
-  options.band = args.band;
-  options.rotation.mirror = args.mirror;
-  options.rotation.max_shift = args.max_shift;
+  ApplyMeasureFlags(args, &options);
   if (discord) {
     const DiscordResult r = FindDiscord(db.items, options);
     std::printf("discord: %d  nn=%d  nn-distance=%.6f\n", r.index,
@@ -1068,19 +1079,13 @@ bool InstallShutdownHandlers() {
 ShardedOptions MakeShardedOptions(const Args& args) {
   ShardedOptions options;
   options.pool_pages = args.pool_pages;
-  options.eviction = args.eviction == "clock"
-                         ? storage::EvictionPolicy::kClock
-                         : storage::EvictionPolicy::kLru;
+  options.eviction = EvictionFlag(args);
   options.tuning.retry.max_attempts = args.retry_attempts;
   options.tuning.faults.seed = args.fault_seed;
   options.tuning.faults.transient_read_prob = args.fault_transient_prob;
   options.tuning.faults.torn_page_prob = args.fault_torn_prob;
   options.tuning.faults.latency_spike_prob = args.fault_latency_prob;
-  options.engine.kind =
-      args.dtw ? DistanceKind::kDtw : DistanceKind::kEuclidean;
-  options.engine.band = args.band;
-  options.engine.rotation.mirror = args.mirror;
-  options.engine.rotation.max_shift = args.max_shift;
+  ApplyMeasureFlags(args, &options.engine);
   return options;
 }
 
@@ -1111,16 +1116,11 @@ int CmdServe(const Args& args) {
     generation = (*sharded)->generation();
   } else {
     EngineOptions options;
-    options.kind = args.dtw ? DistanceKind::kDtw : DistanceKind::kEuclidean;
-    options.band = args.band;
-    options.rotation.mirror = args.mirror;
-    options.rotation.max_shift = args.max_shift;
+    ApplyMeasureFlags(args, &options);
     options.storage.backend = storage::BackendKind::kFile;
     options.storage.index_path = args.index_path;
     options.storage.pool_pages = args.pool_pages;
-    options.storage.eviction = args.eviction == "clock"
-                                   ? storage::EvictionPolicy::kClock
-                                   : storage::EvictionPolicy::kLru;
+    options.storage.eviction = EvictionFlag(args);
     options.storage.retry.max_attempts = args.retry_attempts;
     options.storage.faults.seed = args.fault_seed;
     options.storage.faults.transient_read_prob = args.fault_transient_prob;

@@ -64,19 +64,20 @@ void ExerciseParsers(const std::uint8_t* data, std::size_t size) {
     }
     // Engine-level round trip: the parsed items through the flat storage
     // layout, then a checked 1-NN through the plain wedge cascade and
-    // through fft + wedge. In contract-enabled builds this also walks the
-    // parsed data past every ROTIND_CONTRACT invariant (L <= U, wedge
-    // nesting, LB <= exact), so a loader bug that produces a structurally
-    // broken dataset aborts here instead of returning a quietly wrong
-    // neighbor.
+    // through the FFT-magnitude bound (vecsig at n/2) + wedge. In
+    // contract-enabled builds this also walks the parsed data past every
+    // ROTIND_CONTRACT invariant (L <= U, wedge nesting, LB <= exact), so a
+    // loader bug that produces a structurally broken dataset aborts here
+    // instead of returning a quietly wrong neighbor.
     StatusOr<FlatDataset> flat = FlatDataset::FromItemsChecked(ds.items);
     if (!flat.ok()) continue;
     for (const std::vector<StageKind>& stages :
          {std::vector<StageKind>{StageKind::kWedge},
-          std::vector<StageKind>{StageKind::kFftMagnitude,
+          std::vector<StageKind>{StageKind::kVecSignature,
                                  StageKind::kWedge}}) {
       EngineOptions engine_options;
       engine_options.cascade.stages = stages;
+      engine_options.vec_sig_dims = ds.length() / 2;
       const QueryEngine engine(*flat, engine_options);
       (void)engine.SearchChecked(ds.items[0]);
     }
