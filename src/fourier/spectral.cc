@@ -83,80 +83,6 @@ StatusOr<double> SignatureDistanceChecked(const SpectralSignature& a,
   return SignatureDistance(a, b, counter);
 }
 
-VecSignature MakeVecSignature(const Series& s, std::size_t dims) {
-  const std::size_t n = s.size();
-  assert(n >= 2);
-  assert(dims >= 1);
-  const std::size_t bins = n / 2;
-  dims = std::min(std::max<std::size_t>(dims, 1), bins);
-  // Pool the FULL weighted magnitude spectrum: bin j (0-based over the n/2
-  // signature bins) lands in band floor(j * dims / bins), so bands are
-  // contiguous, cover every bin, and are non-empty (dims <= bins).
-  const SpectralSignature full = MakeSpectralSignature(s, bins);
-  VecSignature sig;
-  sig.values.assign(dims, 0.0);
-  for (std::size_t j = 0; j < bins; ++j) {
-    const std::size_t band = j * dims / bins;
-    sig.values[band] += full.values[j] * full.values[j];
-  }
-  for (std::size_t b = 0; b < dims; ++b) {
-    sig.values[b] = std::sqrt(sig.values[b]);
-  }
-  return sig;
-}
-
-StatusOr<VecSignature> MakeVecSignatureChecked(const Series& s,
-                                               std::size_t dims) {
-  const std::size_t n = s.size();
-  if (n < 2) {
-    return Status::InvalidArgument(
-        "series length " + std::to_string(n) +
-        " is too short for a vec signature (need >= 2)");
-  }
-  if (dims == 0) {
-    return Status::InvalidArgument("vec signature dims must be >= 1");
-  }
-  if (dims > n / 2) {
-    return Status::InvalidArgument(
-        "vec signature dims " + std::to_string(dims) + " exceeds n/2 = " +
-        std::to_string(n / 2) + " for series length " + std::to_string(n) +
-        "; a clamped signature would not be comparable to full-dims ones");
-  }
-  return MakeVecSignature(s, dims);
-}
-
-double VecSignatureDistance(const VecSignature& a, const VecSignature& b,
-                            StepCounter* counter) {
-  if (a.dims() != b.dims()) {
-    std::fprintf(
-        stderr, "rotind: VecSignatureDistance: %s\n",
-        Status::InvalidArgument("vec signature dims mismatch: " +
-                                std::to_string(a.dims()) + " vs " +
-                                std::to_string(b.dims()))
-            .ToString()
-            .c_str());
-    std::abort();
-  }
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.values.size(); ++i) {
-    const double d = a.values[i] - b.values[i];
-    acc += d * d;
-  }
-  AddSteps(counter, a.values.size());
-  return std::sqrt(acc);
-}
-
-StatusOr<double> VecSignatureDistanceChecked(const VecSignature& a,
-                                             const VecSignature& b,
-                                             StepCounter* counter) {
-  if (a.dims() != b.dims()) {
-    return Status::InvalidArgument(
-        "vec signature dims mismatch: " + std::to_string(a.dims()) + " vs " +
-        std::to_string(b.dims()));
-  }
-  return VecSignatureDistance(a, b, counter);
-}
-
 std::uint64_t FftStepCost(std::size_t n) {
   if (n <= 1) return 1;
   const double cost =

@@ -35,6 +35,9 @@ struct SpectralSignature {
 /// Builds the D-dimensional magnitude signature of `s` using bins
 /// k = 1 .. D (bin 0 is skipped: z-normalised series have zero DC, and
 /// keeping low frequencies first retains most energy, paper Section 5.4).
+/// Value i depends on bin i + 1 alone, so a D-wide signature is, bit for
+/// bit, the first D values of any wider one: the cascade filter
+/// (StageKind::kVecSignature) reads a prefix of a stored row.
 ///
 /// CONTRACT: `dims` is CLAMPED to n/2 (the conjugate-pair weighting is only
 /// valid for D <= n/2), so the returned signature may have fewer dimensions
@@ -75,53 +78,6 @@ StatusOr<double> SignatureDistanceChecked(const SpectralSignature& a,
 /// The paper's cost model charges n*log2(n) steps per FFT lower-bound use
 /// (Section 5.3). Benches call this to account a transform.
 std::uint64_t FftStepCost(std::size_t n);
-
-/// Band-pooled rotation/mirror-invariant vector embedding (in the spirit
-/// of the Shafieasl & Phillips rotation-invariant vectorization): the FULL
-/// weighted magnitude spectrum x (all n/2 bins of SpectralSignature, so no
-/// high-frequency energy is discarded) is partitioned into `dims`
-/// contiguous frequency bands and each band stores its L2 energy,
-/// v_b = ||x restricted to band b||_2. Per band, the reverse triangle
-/// inequality gives |v_b(Q) - v_b(C)| <= ||x_b(Q) - x_b(C)||, so
-///
-///   ||v(Q) - v(C)||_2 <= ||x(Q) - x(C)||_2 <= RED(Q, C)
-///
-/// — a Euclidean-only lower bound on the rotation-invariant distance that
-/// is invariant under BOTH circular shifts and mirroring (DFT magnitudes
-/// are unchanged by either), so one stored vector per object prunes the
-/// whole rotation x mirror orbit. A deliberately distinct type from
-/// SpectralSignature: the two embeddings live in different spaces and
-/// comparing them across kinds is meaningless.
-struct VecSignature {
-  std::vector<double> values;
-
-  std::size_t dims() const { return values.size(); }
-};
-
-/// Builds the `dims`-band pooled signature. CONTRACT: `dims` is clamped to
-/// n/2 (a band needs at least one spectrum bin) and must be >= 1; requires
-/// n >= 2. The clamp has the same heterogeneous-length footgun as
-/// MakeSpectralSignature — use the Checked variant to make it an error.
-VecSignature MakeVecSignature(const Series& s, std::size_t dims);
-
-/// Validated variant: kInvalidArgument when n < 2, dims == 0, or dims
-/// would be clamped (dims > n/2). Never clamps.
-[[nodiscard]]
-StatusOr<VecSignature> MakeVecSignatureChecked(const Series& s,
-                                               std::size_t dims);
-
-/// L2 distance between pooled signatures; a lower bound on RED(Q, C)
-/// (Euclidean only — NOT a DTW bound). Charges `dims` steps. Mismatched
-/// dimensionalities are a hard error on all build types, exactly like
-/// SignatureDistance.
-double VecSignatureDistance(const VecSignature& a, const VecSignature& b,
-                            StepCounter* counter = nullptr);
-
-/// Validated variant: kInvalidArgument instead of aborting on a mismatch.
-[[nodiscard]]
-StatusOr<double> VecSignatureDistanceChecked(const VecSignature& a,
-                                             const VecSignature& b,
-                                             StepCounter* counter = nullptr);
 
 }  // namespace rotind
 

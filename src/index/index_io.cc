@@ -1,6 +1,5 @@
 #include "src/index/index_io.h"
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -48,13 +47,9 @@ Status BuildIndexFile(const Dataset& db, const IndexBuildOptions& options,
   storage::IndexBuildData extras;
   extras.sig_dims = options.sig_dims;
   extras.paa_dims = options.paa_dims;
-  // ri_dims clamps instead of rejecting (see IndexBuildOptions): all rows
-  // of one file share n, so the clamp stays uniform within the file.
-  extras.ri_dims = std::min(options.ri_dims, n / 2);
   extras.labels = db.labels;
   extras.signatures.reserve(db.size() * options.sig_dims);
   extras.paa.reserve(db.size() * options.paa_dims);
-  extras.ri_signatures.reserve(db.size() * extras.ri_dims);
   for (const Series& s : db.items) {
     if (options.sig_dims > 0) {
       const SpectralSignature sig = MakeSpectralSignature(s, options.sig_dims);
@@ -65,11 +60,6 @@ Status BuildIndexFile(const Dataset& db, const IndexBuildOptions& options,
       const PaaPoint paa = PaaTransform(s, options.paa_dims);
       extras.paa.insert(extras.paa.end(), paa.values.begin(),
                         paa.values.end());
-    }
-    if (extras.ri_dims > 0) {
-      const VecSignature ri = MakeVecSignature(s, extras.ri_dims);
-      extras.ri_signatures.insert(extras.ri_signatures.end(),
-                                  ri.values.begin(), ri.values.end());
     }
   }
   return storage::WriteIndexFile(db, extras, options.page_size_bytes, path,

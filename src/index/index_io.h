@@ -12,18 +12,12 @@ namespace rotind {
 
 /// Build-time parameters for a paged RIDX index file. Both signature
 /// families are written by default so one file serves the Euclidean path
-/// (FFT magnitudes, Table 7) and the DTW path (PAA summaries, refs
-/// [16][37]); set a dims field to 0 to omit that section.
+/// (FFT magnitudes, Table 7, whose first columns also feed the
+/// vec-signature filter) and the DTW path (PAA summaries, refs [16][37]);
+/// set a dims field to 0 to omit that section.
 struct IndexBuildOptions {
   std::size_t sig_dims = 16;   ///< FFT magnitude signature dimensionality.
   std::size_t paa_dims = 16;   ///< PAA summary dimensionality.
-  /// Rotation-invariant pooled VecSignature dimensionality (the RIDX RI
-  /// section feeding the engine's vec-signature pre-filter). Unlike
-  /// sig_dims this is CLAMPED to n/2 rather than rejected: every row in one
-  /// file shares the same length, so a per-file clamp cannot produce the
-  /// mixed-dimensionality footgun, and the default keeps working on short
-  /// series. 0 omits the section.
-  std::size_t ri_dims = 8;
   std::size_t page_size_bytes = 4096;
 };
 

@@ -52,7 +52,7 @@ enum class StageId {
   kDiskFetch,          ///< storage: candidate fetches that do I/O
   kRefine,             ///< unused; kept so later ids stay stable
   kLbImproved,         ///< reserved: was the two-pass LB_Improved filter
-  kVecSignature,       ///< cascade: pooled rotation-invariant vector filter
+  kVecSignature,       ///< cascade: spectral-prefix (FFT-magnitude) filter
 };
 inline constexpr std::size_t kNumStages = 10;
 

@@ -65,29 +65,34 @@ struct CandidateMatch {
   bool found = false;
 };
 
-/// The cascade's one filter: the band-pooled rotation/mirror-invariant
-/// vector embedding (VecSignature), ||v(Q) - v(C)||_2 <= RED(Q, C), sound
-/// for Euclidean only. At dims = n/2 every band holds one bin and v is the
-/// paper's FFT-magnitude signature (Section 4.2), bit for bit. Prune
-/// returns true when the candidate provably cannot beat `threshold`.
-/// Two candidate paths with bit-identical distances: resident rows (an
-/// O(dims) lookup charged `row_steps`, keyed by the candidate's database
-/// position `index`) or an on-the-fly embedding (one FFT) — identical
-/// because the rows were produced by the same MakeVecSignature over the
-/// same candidate bytes.
-class VecSignatureFilter {
+/// The filter width on every backend: vec_sig_dims clamped to the n/2
+/// spectral bins a length-n series has (and to at least one).
+std::size_t FilterDims(std::size_t vec_sig_dims, std::size_t n) {
+  return std::min(std::max<std::size_t>(vec_sig_dims, 1), n / 2);
+}
+
+/// The cascade's one filter: the first dims bins of the rotation/mirror-
+/// invariant FFT-magnitude signature (MakeSpectralSignature). Any subset
+/// of bins lower-bounds RED (paper Section 4.2), so the prefix does;
+/// sound for Euclidean only. Prune returns true when the candidate
+/// provably cannot beat `threshold`. Two candidate paths with
+/// bit-identical distances: resident rows (an O(dims) lookup charged
+/// `row_steps`, keyed by the candidate's database position `index`)
+/// or an on-the-fly embedding (one FFT) — identical because every row
+/// begins with the doubles MakeSpectralSignature returns for the same
+/// candidate bytes, compared in the same order.
+class SpectralPrefixFilter {
  public:
-  VecSignatureFilter(const Series& query, std::size_t dims,
-                     const double* stored_rows, std::size_t stored_dims,
-                     std::uint64_t row_steps, StepCounter* counter)
-      : n_(query.size()), rows_(stored_rows), row_steps_(row_steps) {
-    if (n_ < 2) return;  // no spectrum to pool; Prune never fires
-    // The stored dimensionality is authoritative when rows exist — both
-    // sides of the distance must live in the same pooled space.
-    dims_ = rows_ != nullptr
-                ? stored_dims
-                : std::min(std::max<std::size_t>(dims, 1), n_ / 2);
-    signature_ = MakeVecSignature(query, dims_);
+  SpectralPrefixFilter(const Series& query, std::size_t dims,
+                       const double* rows, std::size_t stride,
+                       std::uint64_t row_steps, StepCounter* counter)
+      : n_(query.size()),
+        rows_(rows),
+        stride_(stride),
+        row_steps_(row_steps) {
+    if (n_ < 2) return;  // no spectrum; Prune never fires
+    dims_ = FilterDims(dims, n_);
+    signature_ = MakeSpectralSignature(query, dims_).values;
     AddSetupSteps(counter, FftStepCost(n_));
   }
 
@@ -95,32 +100,35 @@ class VecSignatureFilter {
              StepCounter* counter) const {
     if (counter != nullptr) ++counter->lower_bound_evals;
     if (n_ < 2) return false;
-    double d;
     if (rows_ != nullptr) {
-      // Same accumulation order as VecSignatureDistance (query minus
-      // candidate, ascending band), so the two paths agree bit-for-bit.
-      const double* row = rows_ + index * dims_;
-      double acc = 0.0;
-      for (std::size_t b = 0; b < dims_; ++b) {
-        const double diff = signature_.values[b] - row[b];
-        acc += diff * diff;
-      }
       AddSteps(counter, row_steps_);
-      d = std::sqrt(acc);
-    } else {
-      AddSteps(counter, FftStepCost(n_));
-      const VecSignature sig = MakeVecSignature(Series(c, c + n_), dims_);
-      d = VecSignatureDistance(signature_, sig, nullptr);
+      return Distance(rows_ + index * stride_) >= threshold;
     }
-    return d >= threshold;
+    AddSteps(counter, FftStepCost(n_));
+    const SpectralSignature sig =
+        MakeSpectralSignature(Series(c, c + n_), dims_);
+    return Distance(sig.values.data()) >= threshold;
   }
 
  private:
+  /// L2 distance from the query's signature to the first dims_ values of
+  /// `row`, query minus candidate in ascending bin order (the order
+  /// SignatureDistance uses).
+  double Distance(const double* row) const {
+    double acc = 0.0;
+    for (std::size_t b = 0; b < dims_; ++b) {
+      const double diff = signature_[b] - row[b];
+      acc += diff * diff;
+    }
+    return std::sqrt(acc);
+  }
+
   std::size_t n_;
-  const double* rows_ = nullptr;  ///< count x dims_ resident matrix or null.
-  std::uint64_t row_steps_ = 0;   ///< steps charged per row lookup.
+  const double* rows_;       ///< count x stride_ resident matrix or null.
+  std::size_t stride_;       ///< doubles from one row to the next.
+  std::uint64_t row_steps_;  ///< steps charged per row lookup.
   std::size_t dims_ = 0;
-  VecSignature signature_;
+  std::vector<double> signature_;
 };
 
 /// The exact terminal evaluator at the end of every cascade.
@@ -412,14 +420,14 @@ class ScanTerminal final : public TerminalStage {
 /// sum exactly to the query's StepCounter.
 class QueryCascade {
  public:
-  /// `vec_sig_rows`/`vec_sig_dims`/`vec_sig_row_steps` feed the
+  /// `vec_sig_rows`/`vec_sig_stride`/`vec_sig_row_steps` feed the
   /// kVecSignature filter its resident rows and their per-lookup price
   /// (nullptr → embed candidates on the fly).
   QueryCascade(const Series& query, const EngineOptions& options,
                StepCounter* counter, obs::QueryMetrics* metrics = nullptr,
                const CancelToken* cancel = nullptr,
                const double* vec_sig_rows = nullptr,
-               std::size_t vec_sig_dims = 0,
+               std::size_t vec_sig_stride = 0,
                std::uint64_t vec_sig_row_steps = 0)
       : metrics_(metrics), cancel_(cancel) {
     for (StageKind kind : options.cascade.stages) {
@@ -459,7 +467,7 @@ class QueryCascade {
       if (kind == StageKind::kVecSignature) {
         StageScope scope(StatsFor(obs::StageId::kVecSignature), counter);
         filter_.emplace(query, options.vec_sig_dims, vec_sig_rows,
-                        vec_sig_dims, vec_sig_row_steps, counter);
+                        vec_sig_stride, vec_sig_row_steps, counter);
       }
     }
     assert(terminal_ != nullptr && "cascade must be normalized");
@@ -560,7 +568,7 @@ class QueryCascade {
   const CancelToken* cancel_;
   Status cancel_status_;
   obs::StageId terminal_id_ = obs::StageId::kExactScan;
-  std::optional<VecSignatureFilter> filter_;
+  std::optional<SpectralPrefixFilter> filter_;
   std::unique_ptr<TerminalStage> terminal_;
 };
 
@@ -1165,9 +1173,11 @@ void QueryEngine::InitVecSigSource() {
   if (const auto* fb =
           dynamic_cast<const storage::FileBackend*>(backend_.get())) {
     const storage::IndexFile& file = fb->file();
-    if (file.ri_dims() > 0) {
-      stored_vec_sigs_ = {file.ri_signatures().data(), file.ri_dims(),
-                          file.ri_dims()};
+    const std::size_t dims =
+        FilterDims(options_.vec_sig_dims, file.series_length());
+    if (file.sig_dims() >= dims) {
+      stored_vec_sigs_ = {file.spectral_signatures().data(), file.sig_dims(),
+                          dims};
     }
   } else if (BlockedSource() != nullptr) {
     vec_sig_cache_ = std::make_unique<VecSigCache>();
@@ -1226,18 +1236,13 @@ void QueryEngine::InitSignatureIndex() {
 
 QueryEngine::VecSigRows QueryEngine::ResolveVecSigRows(
     std::size_t query_length, obs::QueryMetrics* metrics) const {
-  if (query_length < 2) return {};
-  if (stored_vec_sigs_.data != nullptr) {
-    // The stored dimensionality must fit the query's pooled space
-    // (dims <= n/2) or the two embedding sides would be incomparable.
-    if (stored_vec_sigs_.dims > query_length / 2) return {};
-    return stored_vec_sigs_;
-  }
+  // Rows describe series of the database's length; another length has
+  // other bins.
+  if (query_length < 2 || database_length() != query_length) return {};
+  if (stored_vec_sigs_.data != nullptr) return stored_vec_sigs_;
+  if (vec_sig_cache_ == nullptr) return {};
   const FlatDataset* flat = BlockedSource();
-  if (vec_sig_cache_ == nullptr || flat->length() != query_length) return {};
-  // The same clamp VecSignatureFilter applies to a per-candidate embedding.
-  const std::size_t dims = std::min(
-      std::max<std::size_t>(options_.vec_sig_dims, 1), query_length / 2);
+  const std::size_t dims = FilterDims(options_.vec_sig_dims, query_length);
   obs::StageStats* stats =
       metrics != nullptr ? &metrics->stage(obs::StageId::kVecSignature)
                          : nullptr;
@@ -1247,7 +1252,7 @@ QueryEngine::VecSigRows QueryEngine::ResolveVecSigRows(
   if (cache.rows.empty()) {
     cache.rows.reserve(flat->size() * dims);
     for (std::size_t i = 0; i < flat->size(); ++i) {
-      const VecSignature sig = MakeVecSignature(
+      const SpectralSignature sig = MakeSpectralSignature(
           Series(flat->data(i), flat->data(i) + query_length), dims);
       cache.rows.insert(cache.rows.end(), sig.values.begin(), sig.values.end());
     }
@@ -1266,7 +1271,7 @@ void QueryEngine::Scan(const Series& query, std::size_t holdout,
   const QueryLatencyScope latency(metrics);
   const VecSigRows sig_rows = ResolveVecSigRows(query.size(), metrics);
   QueryCascade cascade(query, options_, counter, metrics, cancel,
-                       sig_rows.data, sig_rows.dims, sig_rows.steps_per_row);
+                       sig_rows.data, sig_rows.stride, sig_rows.steps_per_row);
   storage::FetchStats fetch_io;
   obs::StageStats* fetch_stats =
       metrics != nullptr && BackendDoesIo()

@@ -47,15 +47,17 @@ enum class StageKind {
   /// and drops it under kLcss and ahead of the unconstrained-DTW terminal
   /// (kFullScan under kDtw), which a banded bound does not lower-bound.
   kSignatureIndex,
-  /// Filter: band-pooled rotation/mirror-invariant vector embedding
-  /// (fourier::VecSignature). At EngineOptions::vec_sig_dims = n/2 it is
-  /// the paper's rotation-invariant FFT-magnitude lower bound (Section
-  /// 4.2), bit for bit. Candidates are compared as resident rows where the
-  /// engine has them — a file backend's RIDX v2 signature section, or,
-  /// over an in-memory FlatDataset, one matrix the engine builds on its
-  /// first vec-signature query — and embedded one FFT per candidate per
-  /// query otherwise (see QueryEngine). Sound for kEuclidean only; dropped
-  /// for other measures.
+  /// Filter: the first d = min(EngineOptions::vec_sig_dims, n/2) bins of
+  /// the paper's rotation/mirror-invariant FFT-magnitude signature
+  /// (Section 4.2, fourier::MakeSpectralSignature). Any subset of bins
+  /// lower-bounds RED, and at d = n/2 this is the paper's FFT lower bound.
+  /// d is the same on every backend. Candidates are compared as resident
+  /// rows where the engine has them — the first d columns of a file
+  /// backend's RIDX FFT section when it is at least d wide, or, over an
+  /// in-memory FlatDataset, one matrix the engine builds on its first
+  /// vec-signature query — and embedded one FFT per candidate per query
+  /// otherwise (see QueryEngine). Sound for kEuclidean only; dropped for
+  /// other measures.
   kVecSignature,
   /// Terminal: hierarchal LB_Keogh wedges + H-Merge + dynamic K (the
   /// paper's contribution). Exact.
@@ -95,12 +97,10 @@ struct EngineOptions {
   RotationOptions rotation;
   WedgePolicy wedge;
   CascadeSpec cascade;
-  /// Dimensionality of the kVecSignature filter's pooled embedding when the
-  /// backend has no stored RIDX v2 rows (clamped to n/2 per query, where
-  /// the filter is the FFT-magnitude bound); also the width of the rows an
-  /// in-memory engine builds on first use. A file backend with a signature
-  /// section overrides this: the stored dimensionality is authoritative,
-  /// since both sides must agree.
+  /// Spectral bins the kVecSignature filter compares, clamped to [1, n/2]
+  /// per query (at n/2 the filter is the paper's FFT-magnitude bound).
+  /// Every backend filters at this width; it is also the width of the
+  /// rows an in-memory engine builds on first use.
   std::size_t vec_sig_dims = 8;
   /// Signature dimensionality of kSignatureIndex when the engine computes
   /// the signatures itself: FFT coefficients for kEuclidean (at most n/2),
@@ -403,12 +403,13 @@ class QueryEngine {
   /// metrics shape.
   bool BackendDoesIo() const;
 
-  /// Resident candidate rows for the kVecSignature filter: a count x dims
-  /// matrix and the steps one row lookup charges. data == nullptr means
-  /// the filter embeds each candidate itself (one FFT per candidate).
+  /// Resident candidate rows for the kVecSignature filter: a count x
+  /// stride matrix whose rows begin with the filter's d spectral values,
+  /// and the steps one row lookup charges. data == nullptr means the
+  /// filter embeds each candidate itself (one FFT per candidate).
   struct VecSigRows {
     const double* data = nullptr;
-    std::size_t dims = 0;
+    std::size_t stride = 0;
     std::uint64_t steps_per_row = 0;
   };
 
@@ -422,23 +423,25 @@ class QueryEngine {
   };
 
   /// Chooses the kVecSignature row source once (called by every
-  /// constructor): a FileBackend's RIDX v2 section, else an empty
-  /// VecSigCache when BlockedSource() is non-null, else neither — the
-  /// simulated, fault-injecting and sharded-view engines keep embedding
-  /// per candidate. Only cascades that contain kVecSignature get a source.
+  /// constructor): a FileBackend's RIDX FFT section when it holds at
+  /// least d columns, else an empty VecSigCache when BlockedSource() is
+  /// non-null, else neither — narrower files and the simulated,
+  /// fault-injecting and sharded-view engines keep embedding per
+  /// candidate. Only cascades that contain kVecSignature get a source.
   void InitVecSigSource();
 
-  /// The rows one query of `query_length` reads:
-  ///   - stored RIDX rows when their dims fit the query (dims <= n/2),
-  ///     charging dims steps per lookup;
-  ///   - the VecSigCache rows when the query length equals the dataset
-  ///     length, built here on first use, charging FftStepCost(n) per
-  ///     lookup — the price of the embedding each row replaces, so
-  ///     counters match the per-candidate path. The build charges no
-  ///     steps; its wall time lands on `metrics`' kVecSignature stage;
-  ///   - none otherwise.
-  /// Distances are bit-identical on every path: each row holds exactly
-  /// the doubles MakeVecSignature returns for that candidate.
+  /// The rows one query of `query_length` reads (none unless the query
+  /// length equals the database's):
+  ///   - the first d columns of the stored FFT section, charging d steps
+  ///     per lookup;
+  ///   - the VecSigCache rows, built here on first use, charging
+  ///     FftStepCost(n) per lookup — the price of the embedding each row
+  ///     replaces, so counters match the per-candidate path. The build
+  ///     charges no steps; its wall time lands on `metrics`'
+  ///     kVecSignature stage.
+  /// Distances are bit-identical on every path: each row begins with
+  /// exactly the d doubles MakeSpectralSignature returns for that
+  /// candidate.
   VecSigRows ResolveVecSigRows(std::size_t query_length,
                                obs::QueryMetrics* metrics) const;
 

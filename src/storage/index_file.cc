@@ -224,13 +224,11 @@ Status WriteIndexFile(const Dataset& db, const IndexBuildData& extras,
         std::to_string(kMinPageSize) + ", " + std::to_string(kMaxPageSize) +
         "]");
   }
-  if (extras.sig_dims > length || extras.paa_dims > length ||
-      extras.ri_dims > length) {
+  if (extras.sig_dims > length || extras.paa_dims > length) {
     return Status::InvalidArgument("signature dims exceed the series length");
   }
   if (extras.signatures.size() != count * extras.sig_dims ||
-      extras.paa.size() != count * extras.paa_dims ||
-      extras.ri_signatures.size() != count * extras.ri_dims) {
+      extras.paa.size() != count * extras.paa_dims) {
     return Status::InvalidArgument(
         "signature matrix shape does not match count x dims");
   }
@@ -262,17 +260,10 @@ Status WriteIndexFile(const Dataset& db, const IndexBuildData& extras,
       return Status(StatusCode::kBadValue, "non-finite PAA summary value");
     }
   }
-  for (double v : extras.ri_signatures) {
-    if (!std::isfinite(v)) {
-      return Status(StatusCode::kBadValue, "non-finite RI signature value");
-    }
-  }
-
   const std::uint64_t data_bytes =
       static_cast<std::uint64_t>(count) * length * sizeof(double);
   const std::uint64_t data_pages =
       (data_bytes + page_size_bytes - 1) / page_size_bytes;
-  const bool has_ri = extras.ri_dims > 0;
   const IndexChecksumFn checksum = IndexChecksumFor(kIndexVersion);
 
   // The whole image is laid out in one buffer: every section size is known
@@ -284,7 +275,6 @@ Status WriteIndexFile(const Dataset& db, const IndexBuildData& extras,
   resident += data_pages * 8 + kSum;
   resident += extras.signatures.size() * sizeof(double) + kSum;
   resident += extras.paa.size() * sizeof(double) + kSum;
-  if (has_ri) resident += extras.ri_signatures.size() * sizeof(double) + kSum;
   if (!extras.labels.empty()) resident += count * sizeof(std::int32_t) + kSum;
   const std::uint64_t data_offset = AlignUp(resident, page_size_bytes);
   std::string image;
@@ -300,8 +290,8 @@ Status WriteIndexFile(const Dataset& db, const IndexBuildData& extras,
     image.append(reinterpret_cast<const char*>(&sum), sizeof sum);
   };
 
-  std::uint64_t flags = extras.labels.empty() ? 0 : kIndexFlagHasLabels;
-  if (has_ri) flags |= kIndexFlagHasRiSig;
+  const std::uint64_t flags =
+      extras.labels.empty() ? 0 : kIndexFlagHasLabels;
   std::ostringstream header;
   header.write(kIndexMagic, sizeof(kIndexMagic));
   WritePod(header, kIndexVersion);
@@ -313,8 +303,8 @@ Status WriteIndexFile(const Dataset& db, const IndexBuildData& extras,
   WritePod(header, flags);
   const std::string base = std::move(header).str();
   append_checksummed(base.data(), base.size());
-  std::uint64_t ext[7] = {static_cast<std::uint64_t>(extras.ri_dims)};
-  append_checksummed(ext, sizeof ext);  // ri_dims, then 48 reserved zeros
+  const std::uint64_t ext[7] = {};
+  append_checksummed(ext, sizeof ext);  // ri_dims 0, then 48 reserved zeros
 
   std::vector<std::uint64_t> catalog(count * 2);
   for (std::size_t i = 0; i < count; ++i) {
@@ -327,10 +317,6 @@ Status WriteIndexFile(const Dataset& db, const IndexBuildData& extras,
   append_checksummed(extras.signatures.data(),
                      extras.signatures.size() * sizeof(double));
   append_checksummed(extras.paa.data(), extras.paa.size() * sizeof(double));
-  if (has_ri) {
-    append_checksummed(extras.ri_signatures.data(),
-                       extras.ri_signatures.size() * sizeof(double));
-  }
   if (!extras.labels.empty()) {
     std::vector<std::int32_t> labels32(extras.labels.begin(),
                                        extras.labels.end());
@@ -446,17 +432,18 @@ StatusOr<std::unique_ptr<IndexFile>> IndexFile::ParseResident(
     }
   }
 
+  // The legacy RI section: verified like every other section, then
+  // dropped, since nothing reads its pooled rows.
   if ((info.flags & kIndexFlagHasRiSig) != 0) {
     file->ri_dims_ = static_cast<std::size_t>(info.ri_dims);
     start = reader.position();
-    file->ri_sigs_.resize(file->count_ * file->ri_dims_);
-    (void)reader.ReadBytes(file->ri_sigs_.data(),
-                           file->ri_sigs_.size() * sizeof(double));
+    std::vector<double> ri_rows(file->count_ * file->ri_dims_);
+    (void)reader.ReadBytes(ri_rows.data(), ri_rows.size() * sizeof(double));
     if (!SectionChecksumOk(info.checksum, resident, start,
-                           file->ri_sigs_.size() * sizeof(double), reader)) {
+                           ri_rows.size() * sizeof(double), reader)) {
       return CorruptSection("RI signature section");
     }
-    for (double v : file->ri_sigs_) {
+    for (double v : ri_rows) {
       if (!std::isfinite(v)) {
         return Status(StatusCode::kBadValue, "non-finite RI signature value");
       }

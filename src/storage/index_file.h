@@ -34,8 +34,8 @@ namespace rotind::storage {
 ///   | page checksums: data_pages x u64            + checksum u64   |
 ///   | FFT magnitude signatures: count*sig_dims f64 + checksum u64  |
 ///   | PAA summaries: count*paa_dims f64           + checksum u64   |
-///   | v2 and v3, flags bit 1: rotation-invariant pooled            |
-///   |   signatures, count*ri_dims f64             + checksum u64   |
+///   | v2 and v3, flags bit 1 (legacy; read, never written): pooled |
+///   |   RI signatures, count*ri_dims f64          + checksum u64   |
 ///   | labels (flags bit 0): count x i32           + checksum u64   |
 ///   |   ... zero padding to the next page_size boundary ...        |
 ///   +--------------------------------------------------------------+
@@ -48,8 +48,10 @@ namespace rotind::storage {
 ///
 /// VERSIONING RULE: the writer emits the OLDEST version that can represent
 /// the payload, and the payload includes its checksum function. Only
-/// version 3 carries the lane checksum, so every new file is version 3,
-/// with or without the RI section. The reader reads the version before
+/// version 3 carries the lane checksum, so every new file is version 3.
+/// The writer never writes the RI section (flag bit 1 clear, ri_dims 0);
+/// the reader still verifies one in a v2 or v3 file, as it verifies
+/// every section, and then drops it. The reader reads the version before
 /// any checksum, accepts versions 1 to 3 (v1 and v2 files verify with
 /// FNV-1a as they always did), and refuses any other version with
 /// kVersionMismatch — as builds that read only versions 1 and 2 refuse a
@@ -81,8 +83,8 @@ inline constexpr std::size_t kIndexHeaderBytes = 64;
 /// at kIndexHeaderBytes + kIndexExtHeaderBytes.
 inline constexpr std::size_t kIndexExtHeaderBytes = 64;
 inline constexpr std::uint64_t kIndexFlagHasLabels = 1;
-/// Versions 2 and 3: the resident rotation-invariant signature section is
-/// present. Unknown (corrupt) in a version-1 header.
+/// Versions 2 and 3: the legacy rotation-invariant signature section is
+/// present. Unknown (corrupt) in a version-1 header; never written.
 inline constexpr std::uint64_t kIndexFlagHasRiSig = 2;
 
 /// A 64-bit checksum over a byte range (Fnv1a64 or LaneChecksum64).
@@ -105,11 +107,7 @@ struct IndexBuildData {
   std::vector<double> signatures;  ///< count x sig_dims, row-major.
   std::size_t paa_dims = 0;        ///< Columns of `paa` (0 = none).
   std::vector<double> paa;         ///< count x paa_dims, row-major.
-  /// Columns of `ri_signatures` (0 = none: the RI flag stays clear and the
-  /// extension header carries ri_dims = 0).
-  std::size_t ri_dims = 0;
-  std::vector<double> ri_signatures;  ///< count x ri_dims, row-major.
-  std::vector<int> labels;            ///< Optional; empty or count entries.
+  std::vector<int> labels;         ///< Optional; empty or count entries.
 };
 
 /// Writes `db` plus its signature sections to `path` as a version-3 RIDX
@@ -151,20 +149,18 @@ class IndexFile final : public PageSource {
   std::size_t series_length() const { return length_; }
   std::size_t sig_dims() const { return sig_dims_; }
   std::size_t paa_dims() const { return paa_dims_; }
-  /// Columns of the rotation-invariant signature matrix; 0 for v1 files and
-  /// files written without the section.
+  /// Columns of the legacy RI section the file carries (verified at open,
+  /// then dropped); 0 for v1 files and every file this build writes.
   std::size_t ri_dims() const { return ri_dims_; }
   bool has_labels() const { return !labels_.empty(); }
 
   /// FFT magnitude signatures, count x sig_dims row-major (empty when the
-  /// file was written without them). Resident; no page I/O.
+  /// file was written without them): the ED signature index's rows, and
+  /// the rows whose first d columns the vec-signature filter reads.
+  /// Resident; no page I/O.
   const std::vector<double>& spectral_signatures() const { return sigs_; }
   /// PAA summaries, count x paa_dims row-major.
   const std::vector<double>& paa_summaries() const { return paa_; }
-  /// Rotation-invariant pooled signatures (fourier VecSignature rows),
-  /// count x ri_dims row-major; empty unless the file carries the RI
-  /// section. Resident; no page I/O.
-  const std::vector<double>& ri_signatures() const { return ri_sigs_; }
   /// Class labels (empty when the file was written without them).
   const std::vector<int>& labels() const { return labels_; }
 
@@ -201,7 +197,6 @@ class IndexFile final : public PageSource {
   std::size_t ri_dims_ = 0;
   std::vector<double> sigs_;
   std::vector<double> paa_;
-  std::vector<double> ri_sigs_;
   std::vector<int> labels_;
   IndexChecksumFn checksum_ = nullptr;  ///< The version's; verifies pages.
 

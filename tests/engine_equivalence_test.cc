@@ -10,12 +10,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/flat_dataset.h"
+#include "src/core/random.h"
 #include "src/datasets/synthetic.h"
+#include "src/fourier/spectral.h"
 #include "src/index/index_io.h"
 #include "src/index/sharded_index.h"
 #include "src/lightcurve/lightcurve.h"
@@ -202,7 +206,11 @@ TEST(EngineEquivalenceLcssTest, WedgeCascadeMatchesFullScan) {
 /// acceptance gate for the storage engine: a backend may change I/O
 /// accounting, never answers. The signature index reads the file's
 /// sections and embeds the other two backends' series at the same width,
-/// so all three visit identically.
+/// so all three visit identically. The file stores 4 FFT columns, fewer
+/// than either vec-signature width, so its engine embeds each candidate
+/// like the simulated one, priced as the memory engine's rows are (one
+/// FFT per candidate); VecSignatureBackendTest covers a file wide enough
+/// to serve the filter stored rows.
 class BackendEquivalenceTest
     : public ::testing::TestWithParam<DistanceKind> {};
 
@@ -260,20 +268,8 @@ TEST_P(BackendEquivalenceTest, AllBackendsReturnBitIdenticalResults) {
         const ScanResult got = engine->SearchLeaveOneOut(query, qi);
         EXPECT_EQ(got.best_index, ref.best_index) << label;
         EXPECT_EQ(got.best_distance, ref.best_distance) << label;
-        // The vec-signature filter reads stored RIDX v2 rows on the file
-        // backend, priced at dims steps per candidate. The memory engine
-        // reads rows it built on first use and the simulated engine embeds
-        // each candidate, both priced at one FFT per candidate. Answers
-        // are bit-identical on all three — every row holds the very
-        // doubles the embedding recomputes — but the file engine's step
-        // ACCOUNTING legitimately differs, so only that assert is gated.
-        const bool steps_comparable =
-            !c.Has(StageKind::kVecSignature) ||
-            engine->backend()->backend_kind() != storage::BackendKind::kFile;
-        if (steps_comparable) {
-          EXPECT_EQ(got.counter.total_steps(), ref.counter.total_steps())
-              << label;
-        }
+        EXPECT_EQ(got.counter.total_steps(), ref.counter.total_steps())
+            << label;
 
         const auto knn = engine->KnnLeaveOneOut(query, 3, qi);
         ASSERT_EQ(knn.size(), ref_knn.size()) << label;
@@ -294,6 +290,127 @@ TEST_P(BackendEquivalenceTest, AllBackendsReturnBitIdenticalResults) {
       }
     }
   }
+  std::remove(path.c_str());
+}
+
+/// The vec-signature filter compares the first d = min(vec_sig_dims, n/2)
+/// FFT-magnitude bins on every backend, so it prunes the same candidates
+/// everywhere: the memory engine's lazily built rows, the simulated
+/// engine's per-candidate embedding and a file's stored FFT section (16
+/// columns here) give identical answers and identical vec_signature
+/// candidate flow for 1-NN, k-NN and range queries at widths 4 and 8
+/// (read from the file's first columns) and n/2 = 32 (wider than the
+/// file, so its engine embeds each candidate). Steps differ only by the
+/// price of a stored row: d instead of one FFT.
+TEST(VecSignatureBackendTest, EveryBackendFiltersAtTheConfiguredWidth) {
+  const std::size_t n = 64;
+  const std::vector<Series> items = MakeProjectilePointsDatabase(40, n, 611);
+  const FlatDataset flat = FlatDataset::FromItems(items);
+  // Noisy rotations of database rows, then new shapes.
+  Rng rng(613);
+  std::vector<Series> queries;
+  for (const std::size_t i : {3u, 18u, 33u}) {
+    Series q = RotateLeft(items[i], static_cast<long>(rng.NextBounded(n)));
+    for (double& v : q) v += rng.Gaussian(0.0, 0.05);
+    queries.push_back(std::move(q));
+  }
+  for (const Series& fresh : MakeProjectilePointsDatabase(2, n, 612)) {
+    queries.push_back(fresh);
+  }
+
+  Dataset ds;
+  ds.items = items;
+  IndexBuildOptions build;
+  build.sig_dims = 16;
+  build.paa_dims = 4;
+  build.page_size_bytes = 256;
+  const std::string path = "/tmp/rotind_vecsig_backend_test." +
+                           std::to_string(::getpid()) + ".ridx";
+  ASSERT_TRUE(BuildIndexFile(ds, build, path).ok());
+
+  std::uint64_t pruned_anywhere = 0;
+  for (const std::size_t width : {std::size_t{4}, std::size_t{8}, n / 2}) {
+    EngineOptions options;
+    options.cascade.stages = {StageKind::kVecSignature, StageKind::kWedge};
+    options.vec_sig_dims = width;
+    const QueryEngine memory(flat, options);
+    EngineOptions sim_options = options;
+    sim_options.storage.backend = storage::BackendKind::kSimulated;
+    auto simulated = QueryEngine::Open(sim_options, &flat);
+    ASSERT_TRUE(simulated.ok()) << simulated.status().message();
+    EngineOptions file_options = options;
+    file_options.storage.backend = storage::BackendKind::kFile;
+    file_options.storage.index_path = path;
+    auto file = QueryEngine::Open(file_options);
+    ASSERT_TRUE(file.ok()) << file.status().message();
+
+    // What one filter lookup costs above a stored row's d steps.
+    const std::uint64_t row_discount =
+        width <= build.sig_dims ? FftStepCost(n) - width : 0;
+    for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+      const Series& query = queries[qi];
+      const std::vector<Neighbor> ref_knn = memory.Knn(query, 3);
+      const double radius = ref_knn.back().distance * 1.05;
+
+      // Each query kind through one engine: its answers as (index,
+      // distance) pairs, the filter's candidate flow and the steps.
+      struct Run {
+        std::vector<std::pair<int, double>> answers;
+        obs::StageStats filter;
+        std::uint64_t steps = 0;
+      };
+      const auto run = [&](const QueryEngine& engine, int query_kind) {
+        Run out;
+        obs::QueryMetrics metrics;
+        StepCounter counter;
+        std::vector<Neighbor> hits;
+        if (query_kind == 0) {
+          const ScanResult r = engine.Search(query, &metrics);
+          hits.push_back({r.best_index, r.best_distance, r.best_shift,
+                          r.best_mirrored});
+          counter = r.counter;
+        } else if (query_kind == 1) {
+          hits = engine.Knn(query, 3, &counter, &metrics);
+        } else {
+          hits = engine.Range(query, radius, &counter, &metrics);
+        }
+        for (const Neighbor& h : hits) {
+          out.answers.emplace_back(h.index, h.distance);
+        }
+        out.filter = metrics.stage(obs::StageId::kVecSignature);
+        out.steps = counter.total_steps();
+        return out;
+      };
+      for (int query_kind = 0; query_kind < 3; ++query_kind) {
+        const char* kinds[] = {"1-NN", "k-NN", "range"};
+        const std::string label = std::string(kinds[query_kind]) +
+                                  " width " + std::to_string(width) +
+                                  " query " + std::to_string(qi);
+        const Run want = run(memory, query_kind);
+        ASSERT_FALSE(want.answers.empty()) << label;
+        pruned_anywhere += want.filter.candidates_pruned;
+        const Run sim = run(**simulated, query_kind);
+        const Run got = run(**file, query_kind);
+        for (const Run* r : {&sim, &got}) {
+          EXPECT_EQ(r->answers, want.answers) << label;
+          EXPECT_EQ(r->filter.candidates_entered,
+                    want.filter.candidates_entered)
+              << label;
+          EXPECT_EQ(r->filter.candidates_pruned, want.filter.candidates_pruned)
+              << label;
+          EXPECT_EQ(r->filter.candidates_survived,
+                    want.filter.candidates_survived)
+              << label;
+        }
+        EXPECT_EQ(sim.steps, want.steps) << label;
+        EXPECT_EQ(got.steps + row_discount * want.filter.candidates_entered,
+                  want.steps)
+            << label;
+      }
+    }
+  }
+  // The filter pruned somewhere, so the flow comparison is not vacuous.
+  EXPECT_GT(pruned_anywhere, 0u);
   std::remove(path.c_str());
 }
 

@@ -511,10 +511,9 @@ TEST_F(ShardedIndexTest, MixedVersionShardSetMatchesMonolithic) {
     ASSERT_TRUE(out.good());
   }
   const Dataset new_rows = MakeRows(4, 11, length);
-  IndexBuildOptions build;  // the options the v2 image was written with
+  IndexBuildOptions build;  // the v2 image's options, less its RI section
   build.sig_dims = 4;
   build.paa_dims = 4;
-  build.ri_dims = 4;
   build.page_size_bytes = 64;
   ASSERT_TRUE(BuildIndexFile(new_rows, build, dir_ + "/shard-1.ridx").ok());
   storage::Manifest manifest;

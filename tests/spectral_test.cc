@@ -1,10 +1,8 @@
 #include "src/fourier/spectral.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -183,115 +181,31 @@ TEST(SpectralRegressionTest, CheckedFactoryRejectsTheSilentClamp) {
   }
 }
 
-TEST(VecSignatureTest, InvariantToRotationAndMirror) {
-  Rng rng(11);
-  for (std::size_t n : {40u, 251u}) {
-    const Series s = RandomZNormSeries(&rng, n);
-    const VecSignature base = MakeVecSignature(s, 8);
-    ASSERT_EQ(base.dims(), 8u);
-    for (long shift : {1L, 7L, static_cast<long>(n - 1)}) {
-      const VecSignature rot = MakeVecSignature(RotateLeft(s, shift), 8);
-      EXPECT_NEAR(VecSignatureDistance(base, rot), 0.0, 1e-7);
-    }
-    const VecSignature mir = MakeVecSignature(Reversed(s), 8);
-    EXPECT_NEAR(VecSignatureDistance(base, mir), 0.0, 1e-7);
-  }
-}
-
-/// The exactness-critical property behind StageKind::kVecSignature:
-/// ||v(Q) - v(C)|| <= RED(Q, C) at every pooled dimensionality, mirrors
-/// included (the embedding is invariant to both, so one vector bounds the
-/// whole rotation x mirror orbit).
-class VecSignatureBoundTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(VecSignatureBoundTest, LowerBoundsRotationInvariantEuclidean) {
-  const std::size_t dims = GetParam();
-  Rng rng(1000 + dims);
-  for (int trial = 0; trial < 30; ++trial) {
-    const std::size_t n = 16 + rng.NextBounded(64);
-    const Series q = RandomZNormSeries(&rng, n);
-    const Series c = RandomZNormSeries(&rng, n);
-    const std::size_t d = std::min(dims, n / 2);
-    const VecSignature vq = MakeVecSignature(q, d);
-    const VecSignature vc = MakeVecSignature(c, d);
-    const double lb = VecSignatureDistance(vq, vc);
-    for (const bool mirror : {false, true}) {
-      RotationOptions ropts;
-      ropts.mirror = mirror;
-      EXPECT_LE(lb, RotationInvariantEuclidean(q, c, ropts) + 1e-9)
-          << "n=" << n << " dims=" << d << " mirror=" << mirror;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Dims, VecSignatureBoundTest,
-                         ::testing::Values(1, 2, 4, 8, 16));
-
-TEST(VecSignatureTest, DistanceDiesOnDimsMismatch) {
-  Rng rng(12);
-  const Series s = RandomZNormSeries(&rng, 64);
-  const VecSignature a = MakeVecSignature(s, 8);
-  const VecSignature b = MakeVecSignature(s, 4);
-  EXPECT_DEATH(VecSignatureDistance(a, b), "dims mismatch");
-}
-
-TEST(VecSignatureTest, CheckedVariantsRejectMisuse) {
-  Rng rng(13);
-  const Series s = RandomZNormSeries(&rng, 64);
-
-  const StatusOr<VecSignature> clamped = MakeVecSignatureChecked(s, 33);
-  ASSERT_FALSE(clamped.ok());
-  EXPECT_EQ(clamped.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_FALSE(MakeVecSignatureChecked(Series{1.0}, 1).ok());
-  EXPECT_FALSE(MakeVecSignatureChecked(s, 0).ok());
-
-  const StatusOr<double> bad = VecSignatureDistanceChecked(
-      MakeVecSignature(s, 8), MakeVecSignature(s, 4));
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-
-  StepCounter counter;
-  const VecSignature a = MakeVecSignature(s, 8);
-  const StatusOr<double> good = VecSignatureDistanceChecked(a, a, &counter);
-  ASSERT_TRUE(good.ok());
-  EXPECT_NEAR(*good, 0.0, 1e-12);
-  EXPECT_EQ(counter.steps, 8u);  // charges dims steps, like SignatureDistance
-}
-
-/// Pooling at dims == n/2 degenerates to one bin per band, where each
-/// value is sqrt(0 + x * x) for a magnitude x >= 0, which IEEE arithmetic
-/// returns as x exactly. So the pooled vector IS the weighted magnitude
-/// spectrum, bit for bit, and so are the two distances. The FFT rival
-/// (the vec-signature filter at n/2) rests on this: odd and even n, with
-/// and without a Nyquist bin, the single-bin n = 2 and n = 3 included.
-TEST(VecSignatureTest, FullDimsMatchesSpectralSignatureDistance) {
+/// The kVecSignature filter and the RIDX FFT section rest on this: a
+/// D-wide signature is the first D values of the n/2-wide one, bit for
+/// bit, so a filter at width d may read the first d columns of stored
+/// rows of any width >= d and get the doubles it would embed itself. Odd
+/// and even n, the Nyquist bin and the single-bin n = 2 and n = 3
+/// included.
+TEST(SpectralTest, NarrowSignatureIsABitExactPrefix) {
   const auto bits = [](double v) {
     std::uint64_t b;
     std::memcpy(&b, &v, sizeof b);
     return b;
   };
-  const auto same_bits = [&](const std::vector<double>& a,
-                             const std::vector<double>& b) {
-    if (a.size() != b.size()) return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      if (bits(a[i]) != bits(b[i])) return false;
-    }
-    return true;
-  };
   Rng rng(14);
   for (const std::size_t n : {2u, 3u, 48u, 127u, 128u, 251u}) {
-    for (int pair = 0; pair < 8; ++pair) {
-      const Series q = RandomZNormSeries(&rng, n);
-      const Series c = RandomZNormSeries(&rng, n);
-      const VecSignature vq = MakeVecSignature(q, n / 2);
-      const VecSignature vc = MakeVecSignature(c, n / 2);
-      const SpectralSignature sq = MakeSpectralSignature(q, n / 2);
-      const SpectralSignature sc = MakeSpectralSignature(c, n / 2);
-      EXPECT_TRUE(same_bits(vq.values, sq.values)) << "n=" << n;
-      EXPECT_TRUE(same_bits(vc.values, sc.values)) << "n=" << n;
-      EXPECT_EQ(bits(VecSignatureDistance(vq, vc)),
-                bits(SignatureDistance(sq, sc)))
-          << "n=" << n;
+    for (int trial = 0; trial < 4; ++trial) {
+      const Series s = RandomZNormSeries(&rng, n);
+      const SpectralSignature full = MakeSpectralSignature(s, n / 2);
+      for (std::size_t d = 1; d <= n / 2; ++d) {
+        const SpectralSignature prefix = MakeSpectralSignature(s, d);
+        ASSERT_EQ(prefix.dims(), d);
+        for (std::size_t i = 0; i < d; ++i) {
+          ASSERT_EQ(bits(prefix.values[i]), bits(full.values[i]))
+              << "n=" << n << " d=" << d << " bin " << i;
+        }
+      }
     }
   }
 }

@@ -3,8 +3,9 @@
 /// cases the fuzzer found interesting enough to pin — a corrupted catalog
 /// section and a data-page checksum mismatch, which must surface as Status
 /// from the exact layer that detects them. The writer emits version 3
-/// only; versions 1 and 2 are covered through images an older writer
-/// produced (tests/testing/legacy_ridx.h).
+/// without the RI section only; versions 1 and 2 and the RI section are
+/// covered through images older writers produced
+/// (tests/testing/legacy_ridx.h).
 
 #include "src/storage/index_file.h"
 
@@ -276,56 +277,28 @@ void FixExtHeaderChecksum(std::string& image) {
                              kIndexExtHeaderBytes - 8));
 }
 
-TEST(StorageFormatTest, V2RoundtripPreservesRiSignatures) {
-  const Dataset ds = MakeDataset(6, 24);
-  const std::string path = TempPath("v2roundtrip");
-  IndexBuildOptions build;
-  build.sig_dims = 4;
-  build.paa_dims = 4;
-  build.ri_dims = 6;
-  build.page_size_bytes = 64;
-  ASSERT_TRUE(BuildIndexFile(ds, build, path).ok());
-  const std::string image = ReadAll(path);
-  std::remove(path.c_str());
-
-  EXPECT_EQ(static_cast<unsigned char>(image[4]), kIndexVersion);
-  auto file = IndexFile::FromMemory(image);
-  ASSERT_TRUE(file.ok()) << file.status().message();
-  ASSERT_EQ((*file)->ri_dims(), 6u);
-  ASSERT_EQ((*file)->ri_signatures().size(), ds.size() * 6u);
-  for (std::size_t i = 0; i < ds.size(); ++i) {
-    const VecSignature ri = MakeVecSignature(ds.items[i], 6);
-    for (std::size_t d = 0; d < 6; ++d) {
-      EXPECT_EQ((*file)->ri_signatures()[i * 6 + d], ri.values[d])
-          << "object " << i << " dim " << d;
-    }
-  }
-}
-
 /// The payload includes its checksum function, and only version 3 carries
-/// the lane checksum, so the writer emits version 3 with or without the
-/// RI section: the extension header is always present, and every checksum
-/// in the file is LaneChecksum64.
+/// the lane checksum, so the writer emits version 3: the extension header
+/// is always present, and every checksum in the file is LaneChecksum64.
+/// The RI section is never written: flag bit 1 is clear and the
+/// extension header's ri_dims is 0.
 TEST(StorageFormatTest, WriterWithoutRiSectionEmitsVersion3) {
-  const std::string path = TempPath("v3nori");
-  IndexBuildOptions build;
-  build.sig_dims = 4;
-  build.paa_dims = 4;
-  build.ri_dims = 0;
-  build.page_size_bytes = 64;
-  ASSERT_TRUE(BuildIndexFile(MakeDataset(5, 24), build, path).ok());
-  const std::string image = ReadAll(path);
-  std::remove(path.c_str());
+  const std::string image = BuildImage(5, 24, 64);
 
   EXPECT_EQ(static_cast<unsigned char>(image[4]), kIndexVersion);
   EXPECT_EQ(kIndexVersion, 3u);
   std::uint64_t stored = 0;
   std::memcpy(&stored, &image[kIndexHeaderBytes - 8], sizeof stored);
   EXPECT_EQ(stored, LaneChecksum64(image.data(), kIndexHeaderBytes - 8));
+  std::uint64_t flags = 0;
+  std::memcpy(&flags, &image[48], sizeof flags);
+  EXPECT_EQ(flags & kIndexFlagHasRiSig, 0u);
+  std::uint64_t ri_dims = 1;
+  std::memcpy(&ri_dims, &image[kIndexHeaderBytes], sizeof ri_dims);
+  EXPECT_EQ(ri_dims, 0u);
   auto file = IndexFile::FromMemory(image);
   ASSERT_TRUE(file.ok()) << file.status().message();
   EXPECT_EQ((*file)->ri_dims(), 0u);
-  EXPECT_TRUE((*file)->ri_signatures().empty());
 
   // The resident region starts after both headers: a flip there must land
   // in the catalog.
@@ -347,7 +320,6 @@ TEST(StorageFormatTest, V1ImageResidentRegionStartsAfterBaseHeader) {
   auto file = IndexFile::FromMemory(image);
   ASSERT_TRUE(file.ok()) << file.status().message();
   EXPECT_EQ((*file)->ri_dims(), 0u);
-  EXPECT_TRUE((*file)->ri_signatures().empty());
 
   std::string bad = image;
   bad[kIndexHeaderBytes + 3] =
@@ -358,21 +330,8 @@ TEST(StorageFormatTest, V1ImageResidentRegionStartsAfterBaseHeader) {
       << parsed.status().message();
 }
 
-TEST(StorageFormatTest, BuilderClampsRiDimsToHalfLength) {
-  const std::string path = TempPath("riclamp");
-  IndexBuildOptions build;  // default ri_dims = 8, but n/2 = 4 here
-  build.sig_dims = 4;
-  build.paa_dims = 4;
-  build.page_size_bytes = 64;
-  ASSERT_TRUE(BuildIndexFile(MakeDataset(4, 8), build, path).ok());
-  auto file = IndexFile::Open(path);
-  std::remove(path.c_str());
-  ASSERT_TRUE(file.ok()) << file.status().message();
-  EXPECT_EQ((*file)->ri_dims(), 4u);
-}
-
 TEST(StorageFormatTest, ExtensionHeaderCorruptionTaxonomy) {
-  const std::string image = BuildImage(5, 24, 64);  // v2: default ri_dims
+  const std::string image = BuildImage(5, 24, 64);
   ASSERT_EQ(static_cast<unsigned char>(image[4]), kIndexVersion);
 
   {
@@ -400,15 +359,23 @@ TEST(StorageFormatTest, ExtensionHeaderCorruptionTaxonomy) {
         << parsed.status().message();
   }
   {
-    // RI flag set but ri_dims zero: internally inconsistent.
-    std::string bad = image;
-    PatchU64(bad, kIndexHeaderBytes, 0);  // ri_dims field
-    FixExtHeaderChecksum(bad);
-    const auto parsed = IndexFile::FromMemory(bad);
-    ASSERT_FALSE(parsed.ok());
-    EXPECT_EQ(parsed.status().code(), StatusCode::kCorruptHeader);
-    EXPECT_NE(parsed.status().message().find("disagree"), std::string::npos)
-        << parsed.status().message();
+    // The RI flag and ri_dims must agree: a legacy v3 file with the RI
+    // section whose ri_dims reads zero, and a fresh file without it whose
+    // ri_dims reads nonzero, are both internally inconsistent.
+    std::string flag_without_dims = testing::LegacyRidxV3Image();
+    PatchU64(flag_without_dims, kIndexHeaderBytes, 0);  // ri_dims field
+    FixExtHeaderChecksum(flag_without_dims);
+    std::string dims_without_flag = image;
+    PatchU64(dims_without_flag, kIndexHeaderBytes, 4);
+    FixExtHeaderChecksum(dims_without_flag);
+    for (const std::string& bad : {flag_without_dims, dims_without_flag}) {
+      const auto parsed = IndexFile::FromMemory(bad);
+      ASSERT_FALSE(parsed.ok());
+      EXPECT_EQ(parsed.status().code(), StatusCode::kCorruptHeader);
+      EXPECT_NE(parsed.status().message().find("disagree"),
+                std::string::npos)
+          << parsed.status().message();
+    }
   }
   {
     // Truncation inside the extension header is reported as such, naming
@@ -447,72 +414,88 @@ TEST(StorageFormatTest, V1HeaderWithRiFlagIsUnknownFlagCorruption) {
       << parsed.status().message();
 }
 
+/// The writer no longer emits the RI section, but a v2 or v3 file that
+/// has one still gets it verified at open: the legacy images' sections
+/// are checksummed with FNV-1a (v2) and the lane checksum (v3).
 TEST(StorageFormatTest, RiSectionCorruptionIsDetected) {
-  const std::string image = BuildImage(5, 24, 64);  // v2: default ri_dims
-  auto clean = IndexFile::FromMemory(image);
-  ASSERT_TRUE(clean.ok()) << clean.status().message();
-  const IndexFile& f = **clean;
-  ASSERT_GT(f.ri_dims(), 0u);
+  for (const std::string& image :
+       {testing::LegacyRidxV2Image(), testing::LegacyRidxV3Image()}) {
+    SCOPED_TRACE("version " + std::to_string(image[4]));
+    auto clean = IndexFile::FromMemory(image);
+    ASSERT_TRUE(clean.ok()) << clean.status().message();
+    const IndexFile& f = **clean;
+    ASSERT_GT(f.ri_dims(), 0u);
 
-  // Walk the resident layout to the RI payload: headers, then catalog,
-  // page-checksum table, FFT signatures, and PAA summaries, each carrying
-  // a trailing u64 checksum.
-  std::size_t off = kIndexHeaderBytes + kIndexExtHeaderBytes;
-  off += f.num_objects() * 16 + 8;
-  off += f.num_pages() * 8 + 8;
-  off += f.num_objects() * f.sig_dims() * 8 + 8;
-  off += f.num_objects() * f.paa_dims() * 8 + 8;
-  const std::size_t payload = f.num_objects() * f.ri_dims() * 8;
+    // Walk the resident layout to the RI payload: headers, then catalog,
+    // page-checksum table, FFT signatures, and PAA summaries, each
+    // carrying a trailing u64 checksum.
+    std::size_t off = kIndexHeaderBytes + kIndexExtHeaderBytes;
+    off += f.num_objects() * 16 + 8;
+    off += f.num_pages() * 8 + 8;
+    off += f.num_objects() * f.sig_dims() * 8 + 8;
+    off += f.num_objects() * f.paa_dims() * 8 + 8;
+    const std::size_t payload = f.num_objects() * f.ri_dims() * 8;
 
-  {
-    // Bit rot inside the RI payload fails the section checksum at parse.
-    std::string bad = image;
-    bad[off + 3] = static_cast<char>(bad[off + 3] ^ 0x20);
-    const auto parsed = IndexFile::FromMemory(bad);
-    ASSERT_FALSE(parsed.ok());
-    EXPECT_EQ(parsed.status().code(), StatusCode::kCorruptHeader);
-    EXPECT_NE(parsed.status().message().find("RI signature section"),
-              std::string::npos)
-        << parsed.status().message();
-  }
-  {
-    // A NaN row entry under a VALID section checksum is still rejected:
-    // non-finite signatures would poison every lower-bound comparison.
-    std::string bad = image;
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    std::memcpy(&bad[off], &nan, sizeof nan);
-    PatchU64(bad, off + payload, ChecksumOf(bad)(bad.data() + off, payload));
-    const auto parsed = IndexFile::FromMemory(bad);
-    ASSERT_FALSE(parsed.ok());
-    EXPECT_EQ(parsed.status().code(), StatusCode::kBadValue);
-    EXPECT_NE(parsed.status().message().find("non-finite RI signature"),
-              std::string::npos)
-        << parsed.status().message();
+    {
+      // Bit rot inside the RI payload fails the section checksum at parse.
+      std::string bad = image;
+      bad[off + 3] = static_cast<char>(bad[off + 3] ^ 0x20);
+      const auto parsed = IndexFile::FromMemory(bad);
+      ASSERT_FALSE(parsed.ok());
+      EXPECT_EQ(parsed.status().code(), StatusCode::kCorruptHeader);
+      EXPECT_NE(parsed.status().message().find("RI signature section"),
+                std::string::npos)
+          << parsed.status().message();
+    }
+    {
+      // A NaN row entry under a VALID section checksum is still rejected,
+      // although nothing reads the rows: the reader's acceptance does not
+      // depend on what a build does with a section.
+      std::string bad = image;
+      const double nan = std::numeric_limits<double>::quiet_NaN();
+      std::memcpy(&bad[off], &nan, sizeof nan);
+      PatchU64(bad, off + payload,
+               ChecksumOf(bad)(bad.data() + off, payload));
+      const auto parsed = IndexFile::FromMemory(bad);
+      ASSERT_FALSE(parsed.ok());
+      EXPECT_EQ(parsed.status().code(), StatusCode::kBadValue);
+      EXPECT_NE(parsed.status().message().find("non-finite RI signature"),
+                std::string::npos)
+          << parsed.status().message();
+    }
   }
 }
 
-/// Versions 1 and 2 still open and verify with FNV-1a after the writer
-/// moved to version 3: both embedded images parse, keep their resident
-/// sections, and page back their rows bit for bit.
-TEST(StorageFormatTest, V1AndV2ImagesOpenAndReturnTheirRows) {
+/// Files this build can no longer write still open: the v1 and v2
+/// images verify with FNV-1a, and the v3 image with the RI section
+/// verifies with the lane checksum. Each keeps its resident sections,
+/// pages back its rows bit for bit, and answers a k-NN query through
+/// the vec-signature filter (reading the first columns of its FFT
+/// section) exactly as an in-memory engine over the same rows does.
+TEST(StorageFormatTest, LegacyV1ToV3ImagesOpenAndReturnTheirRows) {
   const Dataset rows = testing::LegacyRidxRows();
+  const FlatDataset flat = FlatDataset::FromItems(rows.items);
+  EngineOptions options;
+  options.cascade.stages = {StageKind::kVecSignature, StageKind::kWedge};
+  const QueryEngine reference(flat, options);
   const struct {
     std::string image;
     std::uint32_t version;
     std::size_t ri_dims;
   } legacy[] = {{testing::LegacyRidxV1Image(), kIndexVersionV1, 0},
-                {testing::LegacyRidxV2Image(), kIndexVersionV2, 4}};
+                {testing::LegacyRidxV2Image(), kIndexVersionV2, 4},
+                {testing::LegacyRidxV3Image(), kIndexVersion, 4}};
   for (const auto& old : legacy) {
     SCOPED_TRACE("version " + std::to_string(old.version));
     ASSERT_EQ(static_cast<unsigned char>(old.image[4]), old.version);
     std::uint64_t stored = 0;
     std::memcpy(&stored, &old.image[kIndexHeaderBytes - 8], sizeof stored);
-    EXPECT_EQ(stored, Fnv1a64(old.image.data(), kIndexHeaderBytes - 8));
+    EXPECT_EQ(stored, IndexChecksumFor(old.version)(old.image.data(),
+                                                    kIndexHeaderBytes - 8));
 
     const std::string path = TempPath("legacy");
     std::ofstream(path, std::ios::binary) << old.image;
     auto file = IndexFile::Open(path);
-    std::remove(path.c_str());
     ASSERT_TRUE(file.ok()) << file.status().message();
     EXPECT_EQ((*file)->num_objects(), rows.size());
     EXPECT_EQ((*file)->series_length(), rows.length());
@@ -533,26 +516,43 @@ TEST(StorageFormatTest, V1AndV2ImagesOpenAndReturnTheirRows) {
                 0)
           << "row " << i;
     }
+
+    EngineOptions file_options = options;
+    file_options.storage.backend = BackendKind::kFile;
+    file_options.storage.index_path = path;
+    const auto engine = QueryEngine::Open(file_options);
+    std::remove(path.c_str());
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    for (std::size_t q = 0; q < rows.size(); ++q) {
+      const auto got = (*engine)->KnnChecked(rows.items[q], 3);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      const std::vector<Neighbor> want = reference.Knn(rows.items[q], 3);
+      ASSERT_EQ(got->size(), want.size());
+      for (std::size_t r = 0; r < want.size(); ++r) {
+        EXPECT_EQ((*got)[r].index, want[r].index) << "query " << q;
+        EXPECT_EQ((*got)[r].distance, want[r].distance) << "query " << q;
+      }
+    }
   }
 }
 
 /// Every page is still verified, whatever the version: one flipped byte in
-/// a data page of a v1, v2 or v3 file fails ReadPage, TryFetch and a
-/// checked k-NN query with kCorruptHeader. Each row fills one 64-byte
-/// page, and the flip hits the LAST byte of the last page, which the lane
-/// checksum reads in its final lane.
+/// a data page of a v1, v2 or v3 file (the legacy v3 with the RI section
+/// and a fresh one without) fails ReadPage, TryFetch and a checked k-NN
+/// query with kCorruptHeader. Each row fills one 64-byte page, and the
+/// flip hits the LAST byte of the last page, which the lane checksum
+/// reads in its final lane.
 TEST(StorageFormatTest, FlippedDataByteFailsEveryReadPathInEachVersion) {
   const Dataset rows = testing::LegacyRidxRows();
   const std::string v3_path = TempPath("v3flip");
   IndexBuildOptions build;
   build.sig_dims = 4;
   build.paa_dims = 4;
-  build.ri_dims = 4;
   build.page_size_bytes = 64;
   ASSERT_TRUE(BuildIndexFile(rows, build, v3_path).ok());
-  const std::string images[] = {testing::LegacyRidxV1Image(),
-                                testing::LegacyRidxV2Image(),
-                                ReadAll(v3_path)};
+  const std::string images[] = {
+      testing::LegacyRidxV1Image(), testing::LegacyRidxV2Image(),
+      testing::LegacyRidxV3Image(), ReadAll(v3_path)};
   std::remove(v3_path.c_str());
 
   for (const std::string& image : images) {

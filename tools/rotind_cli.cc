@@ -48,7 +48,7 @@
 /// (full, or fullband under --dtw), ea, or fft (the paper's FFT-magnitude
 /// bound in front of ea: vecsig at n/2 dimensions). --cascade overrides it
 /// with an explicit pipeline: a comma-separated list of stages from vecsig
-/// (pooled rotation-invariant signature filter, 8 dimensions), wedge
+/// (the first 8 bins of the FFT-magnitude signature), wedge
 /// (hierarchal wedge terminal), ea (early-abandoning scan terminal), full
 /// / fullband (exhaustive terminals). Unsound compositions are normalized,
 /// not rejected: a filter that does not lower-bound the configured measure
@@ -571,7 +571,7 @@ EngineOptions MakeEngineOptions(const Args& args, std::size_t length) {
   } else if (args.algo == "ea") {
     options.cascade.stages = {StageKind::kExactScan};
   } else if (args.algo == "fft") {
-    // One band per bin: the paper's FFT-magnitude bound (Section 4.2).
+    // Every bin: the paper's FFT-magnitude bound (Section 4.2).
     options.cascade.stages = {StageKind::kVecSignature, StageKind::kExactScan};
     options.vec_sig_dims = length / 2;
   } else {

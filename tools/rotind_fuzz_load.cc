@@ -140,7 +140,7 @@ void ExerciseParsers(const std::uint8_t* data, std::size_t size) {
       for (std::size_t p = 0; p < file.num_pages(); ++p) {
         (void)file.ReadPage(p, page.data());
       }
-      const auto backend = storage::FileBackend::FromIndex(
+      auto backend = storage::FileBackend::FromIndex(
           *std::move(ridx), /*pool_pages=*/2, storage::EvictionPolicy::kLru);
       storage::FetchStats io;
       for (std::size_t i = 0; i < backend->size(); ++i) {
@@ -156,14 +156,25 @@ void ExerciseParsers(const std::uint8_t* data, std::size_t size) {
                          return backend->file().extent(a).offset <
                                 backend->file().extent(b).offset;
                        });
-      storage::PageHold hold;
-      double sink = 0.0;
-      for (const std::size_t i : order) {
-        const storage::SeriesHandle h = backend->Fetch(i, &io, &hold);
-        if (h.valid()) sink += h.data()[0] + h.data()[h.length() - 1];
+      {
+        storage::PageHold hold;  // unpinned before the engine takes the pool
+        double sink = 0.0;
+        for (const std::size_t i : order) {
+          const storage::SeriesHandle h = backend->Fetch(i, &io, &hold);
+          if (h.valid()) sink += h.data()[0] + h.data()[h.length() - 1];
+        }
+        (void)sink;
       }
       (void)backend->error();
-      (void)sink;
+      // The vec-signature filter reads the first columns of the resident
+      // FFT section by row index; a checked query through it must stay
+      // inside the section.
+      EngineOptions engine_options;
+      engine_options.cascade.stages = {StageKind::kVecSignature,
+                                       StageKind::kExactScan};
+      const Series query(backend->length(), 0.5);
+      const QueryEngine engine(std::move(backend), engine_options);
+      (void)engine.SearchChecked(query);
     }
   }
 }
@@ -220,8 +231,9 @@ std::vector<std::string> BuiltInCorpus() {
   // every 7th prefix, plus bit-flips across the header and strided through
   // the resident sections and data pages — the corruption taxonomy the
   // index reader's checksums must catch without crashing. The writer emits
-  // version 3 (lane checksums); the embedded version-2 image keeps the
-  // FNV-1a path of the reader under the same sweep.
+  // version 3 (lane checksums) without the RI section; the embedded
+  // version-2 image keeps the FNV-1a path of the reader under the same
+  // sweep, and the embedded version-3 image its RI section.
   const auto add_ridx_seeds = [&corpus](const std::string& image) {
     for (std::size_t cut = 0; cut <= image.size(); cut += 7) {
       corpus.push_back(image.substr(0, cut));
@@ -259,6 +271,7 @@ std::vector<std::string> BuiltInCorpus() {
     }
   }
   add_ridx_seeds(testing::LegacyRidxV2Image());
+  add_ridx_seeds(testing::LegacyRidxV3Image());
 
   // Shard-set manifest seeds: a genuine two-shard image with tombstones,
   // every truncation prefix, a bit-flip sweep (header checksum, version,
