@@ -1,19 +1,21 @@
 /// Sharded-index benchmark with machine-readable output.
 ///
-/// Measures the three properties the sharded refactor promises:
+/// Measures the three properties the sharded index promises:
 ///
 ///  1. Shard scaling — 1-NN latency over the same database split into
-///     1/2/4/8 shards, serial vs parallel search, with the answer
-///     cross-checked against the 1-shard serial run (exactness is never
-///     traded for speed).
-///  2. Pruning parity — aggregate implementation-free step counts for the
-///     parallel SharedBound exchange vs the serial concatenated scan. The
-///     exchange only tightens thresholds, so parallel steps should stay
-///     within noise of serial; a large ratio means the best-so-far is not
-///     propagating across shard workers.
+///     1/2/4/8 shards, with every answer cross-checked against the 1-shard
+///     run (exactness is never traded for speed).
+///  2. Step invariance — a sharded query is one engine over the
+///     concatenated live rows, so the aggregate implementation-free step
+///     count is the same at every split; a split whose total differs from
+///     the 1-shard run's means the shards are no longer searched as one
+///     database.
 ///  3. Compaction throughput — rows/second for folding a delta segment
 ///     (inserts + tombstones) into a fresh single-shard generation via
 ///     BuildIndexFile + atomic manifest swap.
+///
+/// Exits nonzero when any split's answers or total_steps differ from the
+/// 1-shard run's.
 ///
 ///   shard_scan_bench [BENCH_shard.json]
 ///
@@ -46,10 +48,10 @@ double Seconds(Clock::time_point a, Clock::time_point b) {
 
 struct ShardRow {
   std::size_t shards = 0;
-  bool parallel = false;
   double wall_seconds = 0.0;
   std::uint64_t total_steps = 0;
   bool answers_match_reference = true;
+  bool steps_match_reference = true;
 };
 
 /// Builds an uneven contiguous shard split of `db` and publishes its
@@ -121,73 +123,53 @@ int Run(int argc, char** argv) {
   build.paa_dims = 8;
   build.page_size_bytes = 4096;
 
-  // Reference answers: 1 shard, serial — definitionally the monolithic
+  // Reference answers and steps: 1 shard — definitionally the monolithic
   // engine over the whole database.
   std::vector<ScanResult> reference;
   std::vector<ShardRow> rows;
   for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
     const std::string manifest = BuildShardSet(db, dir, shards, build);
-    for (const bool parallel : {false, true}) {
-      ShardedOptions options;
-      options.parallel_search = parallel;
-      options.num_threads = 4;
-      options.pool_pages = 64;
-      auto opened = ShardedIndex::Open(manifest, options);
-      if (!opened.ok()) {
-        std::fprintf(stderr, "open failed: %s\n",
-                     opened.status().ToString().c_str());
+    ShardedOptions options;
+    options.pool_pages = 64;
+    auto opened = ShardedIndex::Open(manifest, options);
+    if (!opened.ok()) {
+      std::fprintf(stderr, "open failed: %s\n",
+                   opened.status().ToString().c_str());
+      return 1;
+    }
+    ShardRow row;
+    row.shards = shards;
+    const Clock::time_point t0 = Clock::now();
+    std::vector<ScanResult> answers;
+    for (const std::size_t qi : qs.query_indices) {
+      auto r = (*opened)->Search(db[qi]);
+      if (!r.ok()) {
+        std::fprintf(stderr, "search failed: %s\n",
+                     r.status().ToString().c_str());
         return 1;
       }
-      ShardRow row;
-      row.shards = shards;
-      row.parallel = parallel;
-      const Clock::time_point t0 = Clock::now();
-      std::vector<ScanResult> answers;
-      for (const std::size_t qi : qs.query_indices) {
-        auto r = (*opened)->Search(db[qi]);
-        if (!r.ok()) {
-          std::fprintf(stderr, "search failed: %s\n",
-                       r.status().ToString().c_str());
-          return 1;
-        }
-        row.total_steps += r->counter.total_steps();
-        answers.push_back(*std::move(r));
-      }
-      row.wall_seconds = Seconds(t0, Clock::now());
-      if (reference.empty()) {
-        reference = answers;
-      } else {
-        for (std::size_t i = 0; i < answers.size(); ++i) {
-          if (answers[i].best_index != reference[i].best_index ||
-              answers[i].best_distance != reference[i].best_distance) {
-            row.answers_match_reference = false;
-          }
-        }
-      }
-      std::printf("  %zu shard%s %-8s  %.4f s  steps=%llu  exact=%s\n",
-                  shards, shards == 1 ? " " : "s",
-                  parallel ? "parallel" : "serial", row.wall_seconds,
-                  static_cast<unsigned long long>(row.total_steps),
-                  row.answers_match_reference ? "yes" : "NO");
-      rows.push_back(row);
+      row.total_steps += r->counter.total_steps();
+      answers.push_back(*std::move(r));
     }
-  }
-
-  // Pruning parity at the widest split: parallel aggregate steps over
-  // serial steps. 1.0 = the SharedBound exchange loses nothing.
-  double parity = 0.0;
-  for (const ShardRow& row : rows) {
-    if (row.shards == 8 && !row.parallel && row.total_steps > 0) {
-      for (const ShardRow& other : rows) {
-        if (other.shards == 8 && other.parallel) {
-          parity = static_cast<double>(other.total_steps) /
-                   static_cast<double>(row.total_steps);
+    row.wall_seconds = Seconds(t0, Clock::now());
+    if (reference.empty()) {
+      reference = answers;
+    } else {
+      for (std::size_t i = 0; i < answers.size(); ++i) {
+        if (answers[i].best_index != reference[i].best_index ||
+            answers[i].best_distance != reference[i].best_distance) {
+          row.answers_match_reference = false;
         }
       }
+      row.steps_match_reference = row.total_steps == rows.front().total_steps;
     }
+    std::printf("  %zu shard%s  %.4f s  steps=%llu  exact=%s  same_steps=%s\n",
+                shards, shards == 1 ? " " : "s", row.wall_seconds,
+                static_cast<unsigned long long>(row.total_steps),
+                row.answers_match_reference ? "yes" : "NO",
+                row.steps_match_reference ? "yes" : "NO");
+    rows.push_back(row);
   }
-  std::printf("  pruning parity (parallel/serial steps @ 8 shards): %.4f\n",
-              parity);
 
   // Compaction throughput: stage the delta, fold it into generation 2.
   const std::string manifest4 = dir + "/s4.rman";
@@ -218,8 +200,10 @@ int Run(int argc, char** argv) {
               compact_seconds, rows_per_second);
 
   bool all_exact = true;
+  bool all_same_steps = true;
   for (const ShardRow& row : rows) {
     all_exact = all_exact && row.answers_match_reference;
+    all_same_steps = all_same_steps && row.steps_match_reference;
   }
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
@@ -235,18 +219,16 @@ int Run(int argc, char** argv) {
   std::fprintf(out, "  \"shard_scaling\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(out,
-                 "    {\"shards\": %zu, \"mode\": \"%s\", "
-                 "\"wall_seconds\": %.6f, \"total_steps\": %llu, "
-                 "\"exact\": %s}%s\n",
-                 rows[i].shards, rows[i].parallel ? "parallel" : "serial",
-                 rows[i].wall_seconds,
+                 "    {\"shards\": %zu, \"wall_seconds\": %.6f, "
+                 "\"total_steps\": %llu, \"exact\": %s, "
+                 "\"same_steps\": %s}%s\n",
+                 rows[i].shards, rows[i].wall_seconds,
                  static_cast<unsigned long long>(rows[i].total_steps),
                  rows[i].answers_match_reference ? "true" : "false",
+                 rows[i].steps_match_reference ? "true" : "false",
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"pruning_parity_parallel_over_serial\": %.6f,\n",
-               parity);
   std::fprintf(out,
                "  \"compaction\": {\"live_rows\": %zu, \"delta_inserts\": "
                "%zu, \"tombstones\": %zu, \"generation\": %llu, "
@@ -254,14 +236,16 @@ int Run(int argc, char** argv) {
                live, extra.size(), delta_rows / 2,
                static_cast<unsigned long long>(*generation), compact_seconds,
                rows_per_second);
-  std::fprintf(out, "  \"all_exact\": %s\n", all_exact ? "true" : "false");
+  std::fprintf(out, "  \"all_exact\": %s,\n", all_exact ? "true" : "false");
+  std::fprintf(out, "  \"all_same_steps\": %s\n",
+               all_same_steps ? "true" : "false");
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
 
   std::string remove = "rm -rf " + dir;
   (void)std::system(remove.c_str());
-  return all_exact ? 0 : 1;
+  return all_exact && all_same_steps ? 0 : 1;
 }
 
 }  // namespace

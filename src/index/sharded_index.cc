@@ -1,10 +1,7 @@
 #include "src/index/sharded_index.h"
 
 #include <algorithm>
-#include <cmath>
 #include <iterator>
-#include <limits>
-#include <queue>
 #include <string>
 #include <utility>
 
@@ -12,9 +9,6 @@
 
 namespace rotind {
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr std::size_t kNoHoldout = std::numeric_limits<std::size_t>::max();
 
 /// Sorted-ascending union of two sorted-ascending tombstone lists
 /// (duplicates collapse — a row deleted both in the manifest and in the
@@ -28,54 +22,15 @@ std::vector<std::uint64_t> MergeTombstones(
   return merged;
 }
 
-/// A non-empty part of a snapshot's live-ordinal space.
-struct PartRange {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
-
-std::vector<PartRange> NonEmptyParts(const ShardedSnapshot& snap) {
-  std::vector<PartRange> parts;
-  for (std::size_t p = 0; p + 1 < snap.part_offsets.size(); ++p) {
-    if (snap.part_offsets[p + 1] > snap.part_offsets[p]) {
-      parts.push_back({snap.part_offsets[p], snap.part_offsets[p + 1]});
-    }
+/// Rewrites each result's live ordinal as the snapshot's global id.
+StatusOr<std::vector<Neighbor>> ToGlobalIds(
+    const ShardedSnapshot& snap, StatusOr<std::vector<Neighbor>> result) {
+  if (!result.ok()) return result.status();
+  for (Neighbor& n : *result) {
+    n.index =
+        static_cast<int>(snap.global_ids[static_cast<std::size_t>(n.index)]);
   }
-  return parts;
-}
-
-/// Replays the union of per-part k-NN results (already mapped to live
-/// ordinals, already sorted by ordinal — the monolithic scan order)
-/// through the exact acceptance rule QueryEngine's KnnCollector uses: a
-/// max-heap of size k, strict-< admission against the k-th-best distance.
-/// The distance multiset is provably the global top k (any candidate
-/// missing from its part's local top k is at or beyond the local k-th
-/// distance, which is at or beyond the global k-th). When distinct rows
-/// TIE exactly at the k-th distance, which tied ROW is reported may
-/// differ from the serial scan (heap eviction among equal keys is
-/// structural) — distances never do.
-std::vector<Neighbor> ReplayKnn(std::vector<Neighbor> by_ordinal, int k) {
-  struct FurtherFirst {
-    bool operator()(const Neighbor& a, const Neighbor& b) const {
-      return a.distance < b.distance;
-    }
-  };
-  std::priority_queue<Neighbor, std::vector<Neighbor>, FurtherFirst> heap;
-  for (const Neighbor& n : by_ordinal) {
-    const double threshold =
-        static_cast<int>(heap.size()) < k ? kInf : heap.top().distance;
-    if (n.distance >= threshold) continue;
-    heap.push(n);
-    if (static_cast<int>(heap.size()) > k) heap.pop();
-  }
-  std::vector<Neighbor> out;
-  out.reserve(heap.size());
-  while (!heap.empty()) {
-    out.push_back(heap.top());
-    heap.pop();
-  }
-  std::reverse(out.begin(), out.end());
-  return out;
+  return result;
 }
 
 }  // namespace
@@ -83,12 +38,9 @@ std::vector<Neighbor> ReplayKnn(std::vector<Neighbor> by_ordinal, int k) {
 // ---------------------------------------------------------------------------
 // SnapshotView
 
-SnapshotView::SnapshotView(std::shared_ptr<const ShardedSnapshot> snapshot,
-                           std::size_t begin, std::size_t end)
-    : snapshot_(std::move(snapshot)), begin_(begin), end_(end) {
+SnapshotView::SnapshotView(std::shared_ptr<const ShardedSnapshot> snapshot)
+    : snapshot_(std::move(snapshot)) {
   ROTIND_CONTRACT(snapshot_ != nullptr, "SnapshotView over a null snapshot");
-  ROTIND_CONTRACT(begin_ <= end_ && end_ <= snapshot_->live_total(),
-                  "SnapshotView range outside the snapshot's live ordinals");
 }
 
 std::size_t SnapshotView::PartOf(std::size_t ordinal) const {
@@ -103,9 +55,8 @@ std::size_t SnapshotView::PartOf(std::size_t ordinal) const {
 storage::SeriesHandle SnapshotView::Fetch(std::size_t i,
                                           storage::FetchStats* stats,
                                           storage::PageHold* hold) const {
-  const std::size_t ordinal = begin_ + i;
-  const std::size_t part = PartOf(ordinal);
-  const std::size_t at = ordinal - snapshot_->part_offsets[part];
+  const std::size_t part = PartOf(i);
+  const std::size_t at = i - snapshot_->part_offsets[part];
   if (part < snapshot_->shards.size()) {
     return snapshot_->shards[part]->Fetch(snapshot_->shard_live[part][at],
                                           stats, hold);
@@ -117,9 +68,8 @@ storage::SeriesHandle SnapshotView::Fetch(std::size_t i,
 }
 
 int SnapshotView::label(std::size_t i) const {
-  const std::size_t ordinal = begin_ + i;
-  const std::size_t part = PartOf(ordinal);
-  const std::size_t at = ordinal - snapshot_->part_offsets[part];
+  const std::size_t part = PartOf(i);
+  const std::size_t at = i - snapshot_->part_offsets[part];
   if (part < snapshot_->shards.size()) {
     return snapshot_->shards[part]->label(snapshot_->shard_live[part][at]);
   }
@@ -268,259 +218,41 @@ std::shared_ptr<const ShardedSnapshot> ShardedIndex::Snapshot() const {
 }
 
 std::shared_ptr<const QueryEngine> ShardedIndex::SnapshotEngine() const {
-  std::shared_ptr<const ShardedSnapshot> snap = Snapshot();
-  const std::size_t total = snap->live_total();
   return std::make_shared<const QueryEngine>(
-      std::make_unique<SnapshotView>(std::move(snap), 0, total),
-      options_.engine);
-}
-
-Status ShardedIndex::TakeShardError(const ShardedSnapshot& snap) const {
-  for (const auto& shard : snap.shards) {
-    Status s = shard->error();
-    if (!s.ok()) return s;
-  }
-  return Status::Ok();
+      std::make_unique<SnapshotView>(Snapshot()), options_.engine);
 }
 
 StatusOr<ScanResult> ShardedIndex::Search(const Series& query,
                                           obs::QueryMetrics* metrics) const {
   std::shared_ptr<const ShardedSnapshot> snap = Snapshot();
-  if (options_.parallel_search) return SearchParallel(snap, query, metrics);
-  QueryEngine engine(
-      std::make_unique<SnapshotView>(snap, 0, snap->live_total()),
-      options_.engine);
+  const QueryEngine engine(std::make_unique<SnapshotView>(snap),
+                           options_.engine);
   StatusOr<ScanResult> result = engine.SearchChecked(query, nullptr, metrics);
-  if (!result.ok()) return result.status();
-  ScanResult mapped = *std::move(result);
-  if (mapped.best_index >= 0) {
-    mapped.best_index = static_cast<int>(
-        snap->global_ids[static_cast<std::size_t>(mapped.best_index)]);
+  if (result.ok() && result->best_index >= 0) {
+    result->best_index = static_cast<int>(
+        snap->global_ids[static_cast<std::size_t>(result->best_index)]);
   }
-  return mapped;
+  return result;
 }
 
 StatusOr<std::vector<Neighbor>> ShardedIndex::Knn(
     const Series& query, int k, StepCounter* counter,
     obs::QueryMetrics* metrics) const {
   std::shared_ptr<const ShardedSnapshot> snap = Snapshot();
-  if (options_.parallel_search) {
-    return KnnParallel(snap, query, k, counter, metrics);
-  }
-  QueryEngine engine(
-      std::make_unique<SnapshotView>(snap, 0, snap->live_total()),
-      options_.engine);
-  StatusOr<std::vector<Neighbor>> result =
-      engine.KnnChecked(query, k, counter, nullptr, metrics);
-  if (!result.ok()) return result.status();
-  for (Neighbor& n : *result) {
-    n.index =
-        static_cast<int>(snap->global_ids[static_cast<std::size_t>(n.index)]);
-  }
-  return result;
+  const QueryEngine engine(std::make_unique<SnapshotView>(snap),
+                           options_.engine);
+  return ToGlobalIds(*snap,
+                     engine.KnnChecked(query, k, counter, nullptr, metrics));
 }
 
 StatusOr<std::vector<Neighbor>> ShardedIndex::Range(
     const Series& query, double radius, StepCounter* counter,
     obs::QueryMetrics* metrics) const {
   std::shared_ptr<const ShardedSnapshot> snap = Snapshot();
-  if (options_.parallel_search) {
-    return RangeParallel(snap, query, radius, counter, metrics);
-  }
-  QueryEngine engine(
-      std::make_unique<SnapshotView>(snap, 0, snap->live_total()),
-      options_.engine);
-  StatusOr<std::vector<Neighbor>> result =
-      engine.RangeChecked(query, radius, counter, nullptr, metrics);
-  if (!result.ok()) return result.status();
-  for (Neighbor& n : *result) {
-    n.index =
-        static_cast<int>(snap->global_ids[static_cast<std::size_t>(n.index)]);
-  }
-  return result;
-}
-
-StatusOr<ScanResult> ShardedIndex::SearchParallel(
-    const std::shared_ptr<const ShardedSnapshot>& snap, const Series& query,
-    obs::QueryMetrics* metrics) const {
-  const std::vector<PartRange> parts = NonEmptyParts(*snap);
-  // Validation parity with the serial path: same engine, same messages.
-  QueryEngine probe(
-      std::make_unique<SnapshotView>(snap, 0, snap->live_total()),
-      options_.engine);
-  Status valid = probe.ValidateQuery(query);
-  if (!valid.ok()) return valid;
-  if (parts.empty()) return ScanResult{};
-
-  std::vector<std::unique_ptr<QueryEngine>> engines;
-  engines.reserve(parts.size());
-  for (const PartRange& part : parts) {
-    engines.push_back(std::make_unique<QueryEngine>(
-        std::make_unique<SnapshotView>(snap, part.begin, part.end),
-        options_.engine));
-  }
-  SharedBound shared;
-  std::vector<ScanResult> results(parts.size());
-  std::vector<obs::QueryMetrics> part_metrics(
-      metrics != nullptr ? parts.size() : 0);
-  ParallelFor(parts.size(), options_.num_threads, [&](std::size_t i) {
-    results[i] = engines[i]->SearchShared(
-        query, kNoHoldout, &shared,
-        metrics != nullptr ? &part_metrics[i] : nullptr);
-  });
-  Status io = TakeShardError(*snap);
-  if (!io.ok()) return io;
-
-  // Deterministic merge: replay part winners in part order under the same
-  // strict-< rule BestCollector uses. Parts cover ascending ordinal
-  // ranges, so the first part attaining the global minimum holds the
-  // monolithic scan's winner — bit-identical, ties included (a foreign
-  // bound only ever pruned candidates strictly worse than the winner).
-  ScanResult merged;
-  double best = kInf;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    merged.counter += results[i].counter;
-    if (results[i].best_index >= 0 && results[i].best_distance < best) {
-      best = results[i].best_distance;
-      merged.best_index = static_cast<int>(
-          snap->global_ids[parts[i].begin +
-                           static_cast<std::size_t>(results[i].best_index)]);
-      merged.best_distance = results[i].best_distance;
-      merged.best_shift = results[i].best_shift;
-      merged.best_mirrored = results[i].best_mirrored;
-    }
-  }
-  if (metrics != nullptr) {
-    for (const obs::QueryMetrics& m : part_metrics) *metrics += m;
-  }
-  return merged;
-}
-
-StatusOr<std::vector<Neighbor>> ShardedIndex::KnnParallel(
-    const std::shared_ptr<const ShardedSnapshot>& snap, const Series& query,
-    int k, StepCounter* counter, obs::QueryMetrics* metrics) const {
-  QueryEngine probe(
-      std::make_unique<SnapshotView>(snap, 0, snap->live_total()),
-      options_.engine);
-  Status valid = probe.ValidateQuery(query);
-  if (!valid.ok()) return valid;
-  if (k < 1) {
-    return Status::InvalidArgument("k must be >= 1, got " + std::to_string(k));
-  }
-  const std::vector<PartRange> parts = NonEmptyParts(*snap);
-  if (parts.empty()) return std::vector<Neighbor>{};
-
-  std::vector<std::unique_ptr<QueryEngine>> engines;
-  engines.reserve(parts.size());
-  for (const PartRange& part : parts) {
-    engines.push_back(std::make_unique<QueryEngine>(
-        std::make_unique<SnapshotView>(snap, part.begin, part.end),
-        options_.engine));
-  }
-  SharedBound shared;
-  std::vector<std::vector<Neighbor>> results(parts.size());
-  std::vector<StepCounter> counters(parts.size());
-  std::vector<obs::QueryMetrics> part_metrics(
-      metrics != nullptr ? parts.size() : 0);
-  ParallelFor(parts.size(), options_.num_threads, [&](std::size_t i) {
-    results[i] = engines[i]->KnnShared(
-        query, k, kNoHoldout, &shared, &counters[i],
-        metrics != nullptr ? &part_metrics[i] : nullptr);
-  });
-  Status io = TakeShardError(*snap);
-  if (!io.ok()) return io;
-
-  // Union of the per-part top k, restored to live-ordinal (= monolithic
-  // scan) order, replayed through the collector's exact acceptance rule.
-  std::vector<Neighbor> pool;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (counter != nullptr) *counter += counters[i];
-    for (const Neighbor& n : results[i]) {
-      Neighbor mapped = n;
-      mapped.index =
-          static_cast<int>(parts[i].begin + static_cast<std::size_t>(n.index));
-      pool.push_back(mapped);
-    }
-  }
-  std::sort(pool.begin(), pool.end(),
-            [](const Neighbor& a, const Neighbor& b) {
-              return a.index < b.index;
-            });
-  std::vector<Neighbor> merged = ReplayKnn(std::move(pool), k);
-  for (Neighbor& n : merged) {
-    n.index =
-        static_cast<int>(snap->global_ids[static_cast<std::size_t>(n.index)]);
-  }
-  if (metrics != nullptr) {
-    for (const obs::QueryMetrics& m : part_metrics) *metrics += m;
-  }
-  return merged;
-}
-
-StatusOr<std::vector<Neighbor>> ShardedIndex::RangeParallel(
-    const std::shared_ptr<const ShardedSnapshot>& snap, const Series& query,
-    double radius, StepCounter* counter, obs::QueryMetrics* metrics) const {
-  QueryEngine probe(
-      std::make_unique<SnapshotView>(snap, 0, snap->live_total()),
-      options_.engine);
-  Status valid = probe.ValidateQuery(query);
-  if (!valid.ok()) return valid;
-  if (!std::isfinite(radius) || radius < 0.0) {
-    return Status::InvalidArgument("radius must be finite and >= 0, got " +
-                                   std::to_string(radius));
-  }
-  const std::vector<PartRange> parts = NonEmptyParts(*snap);
-  if (parts.empty()) return std::vector<Neighbor>{};
-
-  std::vector<std::unique_ptr<QueryEngine>> engines;
-  engines.reserve(parts.size());
-  for (const PartRange& part : parts) {
-    engines.push_back(std::make_unique<QueryEngine>(
-        std::make_unique<SnapshotView>(snap, part.begin, part.end),
-        options_.engine));
-  }
-  // A radius is a fixed threshold — nothing improves, nothing to share.
-  std::vector<std::vector<Neighbor>> results(parts.size());
-  std::vector<StepCounter> counters(parts.size());
-  std::vector<obs::QueryMetrics> part_metrics(
-      metrics != nullptr ? parts.size() : 0);
-  ParallelFor(parts.size(), options_.num_threads, [&](std::size_t i) {
-    results[i] = engines[i]->Range(
-        query, radius, &counters[i],
-        metrics != nullptr ? &part_metrics[i] : nullptr);
-  });
-  Status io = TakeShardError(*snap);
-  if (!io.ok()) return io;
-
-  // Restore monolithic scan order (live-ordinal), then apply the exact
-  // sort RangeCollector::Take applies — same comparator over the same
-  // sequence, so the result is bit-identical to the serial path.
-  std::vector<Neighbor> merged;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (counter != nullptr) *counter += counters[i];
-    for (const Neighbor& n : results[i]) {
-      Neighbor mapped = n;
-      mapped.index =
-          static_cast<int>(parts[i].begin + static_cast<std::size_t>(n.index));
-      merged.push_back(mapped);
-    }
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const Neighbor& a, const Neighbor& b) {
-              return a.index < b.index;
-            });
-  std::sort(merged.begin(), merged.end(),
-            [](const Neighbor& a, const Neighbor& b) {
-              return a.distance < b.distance;
-            });
-  for (Neighbor& n : merged) {
-    n.index =
-        static_cast<int>(snap->global_ids[static_cast<std::size_t>(n.index)]);
-  }
-  if (metrics != nullptr) {
-    for (const obs::QueryMetrics& m : part_metrics) *metrics += m;
-  }
-  return merged;
+  const QueryEngine engine(std::make_unique<SnapshotView>(snap),
+                           options_.engine);
+  return ToGlobalIds(
+      *snap, engine.RangeChecked(query, radius, counter, nullptr, metrics));
 }
 
 StatusOr<std::uint64_t> ShardedIndex::Compact(const IndexBuildOptions& build,

@@ -32,14 +32,6 @@ struct ShardedOptions {
   /// Cascade / measure configuration for every query. The `storage` field
   /// is ignored — storage is what the manifest names.
   EngineOptions engine;
-  /// Worker threads for the parallel shard search.
-  int num_threads = 4;
-  /// Search mode. Parallel searches every part (shard or delta)
-  /// concurrently with a SharedBound best-so-far exchange and merges
-  /// deterministically; serial runs ONE engine over the concatenated live
-  /// view, bit-identical (answers AND total_steps) to a monolithic engine
-  /// over the same live rows.
-  bool parallel_search = true;
 };
 
 /// An immutable, self-contained view of one (generation, delta epoch)
@@ -67,40 +59,37 @@ struct ShardedSnapshot {
   std::vector<std::vector<std::size_t>> shard_live;
   /// The delta state this snapshot saw (never null; may be empty).
   std::shared_ptr<const DeltaSnapshot> delta;
-  /// Part -> first live ordinal; size parts() + 1, last entry = total
-  /// live rows. Parts are the shards plus one trailing delta part.
+  /// Part -> first live ordinal; size shards.size() + 2, last entry =
+  /// total live rows. Parts are the shards plus one trailing delta part.
   std::vector<std::size_t> part_offsets;
   /// Live ordinal -> global id, ascending within each part.
   std::vector<std::uint64_t> global_ids;
 
-  std::size_t parts() const { return shards.size() + 1; }
   std::size_t live_total() const {
     return part_offsets.empty() ? 0 : part_offsets.back();
   }
 };
 
-/// StorageBackend over a contiguous live-ordinal range [begin, end) of a
-/// ShardedSnapshot: shard rows are fetched through the shard's paged
-/// FileBackend, which gets the caller's PageHold (a fetch from another
-/// shard releases a page the hold pins in this one), and delta rows are
-/// zero-copy borrows from the snapshot's flattened values. This is what
-/// lets ONE unmodified QueryEngine search "all live rows" (serial mode) or
-/// "one part" (parallel mode) — the engine never learns the database is
-/// sharded.
+/// StorageBackend over a ShardedSnapshot's live rows in live-ordinal
+/// order: shard rows are fetched through the shard's paged FileBackend,
+/// which gets the caller's PageHold (a fetch from another shard releases a
+/// page the hold pins in this one), and delta rows are zero-copy borrows
+/// from the snapshot's flattened values. This is what lets ONE unmodified
+/// QueryEngine search all live rows — the engine never learns the
+/// database is sharded.
 ///
 /// Keeps its snapshot alive via shared_ptr, so borrowed delta pointers and
 /// shard backends outlive every handle. Thread-safe like every backend
 /// (routing state is immutable; shard backends synchronize internally).
 class SnapshotView final : public storage::StorageBackend {
  public:
-  SnapshotView(std::shared_ptr<const ShardedSnapshot> snapshot,
-               std::size_t begin, std::size_t end);
+  explicit SnapshotView(std::shared_ptr<const ShardedSnapshot> snapshot);
 
   storage::BackendKind backend_kind() const override {
     return storage::BackendKind::kFile;
   }
   const char* name() const override { return "sharded"; }
-  std::size_t size() const override { return end_ - begin_; }
+  std::size_t size() const override { return snapshot_->live_total(); }
   std::size_t length() const override { return snapshot_->length; }
   storage::SeriesHandle Fetch(std::size_t i, storage::FetchStats* stats,
                               storage::PageHold* hold) const override;
@@ -117,29 +106,20 @@ class SnapshotView final : public storage::StorageBackend {
   std::size_t PartOf(std::size_t ordinal) const;
 
   const std::shared_ptr<const ShardedSnapshot> snapshot_;
-  const std::size_t begin_;
-  const std::size_t end_;
 };
 
-/// The tentpole: a manifest-driven shard set with online updates. N
-/// immutable RIDX shards (paged FileBackends) plus one mutable DeltaSegment
-/// are searched together — serially through one engine over the
-/// concatenated live view, or in parallel with a SharedBound best-so-far
-/// exchange across parts — and compaction folds the delta into a new shard
-/// under a new manifest generation, published by atomic rename.
+/// A manifest-driven shard set with online updates. N immutable RIDX
+/// shards (paged FileBackends) plus one mutable DeltaSegment are searched
+/// together through one QueryEngine over the concatenated live view (a
+/// SnapshotView), and compaction folds the delta into a new shard under a
+/// new manifest generation, published by atomic rename.
 ///
-/// Exactness: both modes return exactly the answers a monolithic engine
-/// over the live rows would. Serial mode IS that engine (same collector,
-/// same scan order, same step counts — bit-identical by construction).
-/// Parallel mode re-derives the monolithic result from per-part results
-/// by deterministic replay: part-order strict-< for 1-NN and
-/// ordinal-then-distance sort for range are bit-identical ties included
-/// (a foreign bound prunes only candidates strictly worse than the
-/// winner — see SharedBound); k-NN replays the union of per-part top-k in
-/// ordinal order, which is distance-exact always, and index-exact except
-/// when distinct rows tie exactly at the k-th distance (heap eviction
-/// among equal keys is structural, so WHICH tied row is reported may
-/// differ from the serial scan).
+/// Exactness: every query runs one QueryEngine over the live rows in
+/// live-ordinal order — the collector, scan order and step counts of a
+/// monolithic engine scanning the same rows in id order — so answers are
+/// bit-identical to it by construction, exact distance ties included. (A
+/// SnapshotView has no resident signatures, so an index cascade scans it
+/// in id order too.)
 ///
 /// Thread-safety: all methods are safe to call concurrently. Queries are
 /// wait-free with respect to mutations (they run on snapshots); Compact
@@ -193,10 +173,9 @@ class ShardedIndex {
   /// next compaction.
   [[nodiscard]] std::shared_ptr<const QueryEngine> SnapshotEngine() const;
 
-  /// 1-NN over all live rows. result.best_index is a GLOBAL id (or -1 on
-  /// an empty index). result.counter carries total_steps: in serial mode
-  /// bit-identical to the monolithic engine; in parallel mode the sum over
-  /// parts (pruning differs by interleaving, answers do not).
+  /// 1-NN over all live rows. result.best_index is a GLOBAL id (or -1,
+  /// with best_distance +inf, on an index with no live rows).
+  /// result.counter equals a monolithic id-order engine's, bit for bit.
   [[nodiscard]] StatusOr<ScanResult> Search(
       const Series& query, obs::QueryMetrics* metrics = nullptr) const;
 
@@ -243,20 +222,6 @@ class ShardedIndex {
   }
 
  private:
-  /// Parallel-mode cores (serial mode drives one engine directly).
-  [[nodiscard]] StatusOr<ScanResult> SearchParallel(
-      const std::shared_ptr<const ShardedSnapshot>& snap, const Series& query,
-      obs::QueryMetrics* metrics) const;
-  [[nodiscard]] StatusOr<std::vector<Neighbor>> KnnParallel(
-      const std::shared_ptr<const ShardedSnapshot>& snap, const Series& query,
-      int k, StepCounter* counter, obs::QueryMetrics* metrics) const;
-  [[nodiscard]] StatusOr<std::vector<Neighbor>> RangeParallel(
-      const std::shared_ptr<const ShardedSnapshot>& snap, const Series& query,
-      double radius, StepCounter* counter, obs::QueryMetrics* metrics) const;
-
-  /// First latched error across `snap`'s shards.
-  [[nodiscard]] Status TakeShardError(const ShardedSnapshot& snap) const;
-
   const std::string manifest_path_;
   /// Directory shard file names resolve against.
   const std::string dir_;

@@ -954,37 +954,6 @@ class KnnCollector {
   std::priority_queue<Neighbor, std::vector<Neighbor>, FurtherFirst> heap_;
 };
 
-/// Wraps a collector so its pruning threshold also honors a cross-engine
-/// SharedBound (ShardedIndex's parallel shard search). The effective
-/// threshold is min(inner, nextafter(shared, +inf)): the one-ulp outward
-/// nudge means a candidate EQUAL to a foreign bound still reaches the
-/// inner collector, so tie-breaking stays local-scan-order and sharded
-/// answers replay to the monolithic result exactly (see SharedBound).
-/// Acceptance and result bookkeeping are delegated untouched; every inner
-/// improvement is published.
-template <typename Inner>
-class SharedBoundCollector {
- public:
-  SharedBoundCollector(Inner& inner, SharedBound* shared)
-      : inner_(inner), shared_(shared) {}
-
-  double threshold() const {
-    // nextafter(+inf, +inf) == +inf, so an unpublished bound is a no-op.
-    return std::min(inner_.threshold(),
-                    std::nextafter(shared_->load(), kInf));
-  }
-
-  bool Offer(std::size_t index, const CandidateMatch& m) {
-    const bool improved = inner_.Offer(index, m);
-    if (improved) shared_->Publish(inner_.threshold());
-    return improved;
-  }
-
- private:
-  Inner& inner_;
-  SharedBound* shared_;
-};
-
 /// Radius collector (range search): fixed threshold, never "improves".
 class RangeCollector {
  public:
@@ -1379,18 +1348,6 @@ ScanResult QueryEngine::SearchLeaveOneOut(const Series& query,
   return result;
 }
 
-ScanResult QueryEngine::SearchShared(const Series& query, std::size_t holdout,
-                                     SharedBound* shared,
-                                     obs::QueryMetrics* metrics) const {
-  ROTIND_CONTRACT(shared != nullptr, "SearchShared needs a SharedBound");
-  ScanResult result;
-  result.best_distance = kInf;
-  BestCollector inner(&result);
-  SharedBoundCollector<BestCollector> collector(inner, shared);
-  Scan(query, holdout, collector, &result.counter, metrics, nullptr, nullptr);
-  return result;
-}
-
 std::vector<Neighbor> QueryEngine::Knn(const Series& query, int k,
                                        StepCounter* counter,
                                        obs::QueryMetrics* metrics) const {
@@ -1406,19 +1363,6 @@ std::vector<Neighbor> QueryEngine::KnnLeaveOneOut(
   Scan(query, holdout, collector, counter != nullptr ? counter : &local,
        metrics, nullptr, nullptr);
   return collector.Take();
-}
-
-std::vector<Neighbor> QueryEngine::KnnShared(
-    const Series& query, int k, std::size_t holdout, SharedBound* shared,
-    StepCounter* counter, obs::QueryMetrics* metrics) const {
-  ROTIND_CONTRACT(shared != nullptr, "KnnShared needs a SharedBound");
-  if (k < 1) return {};
-  StepCounter local;
-  KnnCollector inner(k);
-  SharedBoundCollector<KnnCollector> collector(inner, shared);
-  Scan(query, holdout, collector, counter != nullptr ? counter : &local,
-       metrics, nullptr, nullptr);
-  return inner.Take();
 }
 
 std::vector<Neighbor> QueryEngine::Range(const Series& query, double radius,

@@ -1,11 +1,9 @@
 #ifndef ROTIND_SEARCH_ENGINE_H_
 #define ROTIND_SEARCH_ENGINE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -152,48 +150,6 @@ struct Neighbor {
 void ParallelFor(std::size_t count, int num_threads,
                  const std::function<void(std::size_t)>& fn);
 
-/// A best-so-far threshold shared across engines scanning DISJOINT
-/// partitions of one database concurrently (ShardedIndex's parallel shard
-/// search). Each worker publishes its local pruning threshold as it
-/// improves; every worker's cascade prunes against
-/// min(local, nextafter(shared, +inf)).
-///
-/// Exactness: a published value is always the distance of a REAL candidate
-/// (or a k-th-best over real candidates), so it is >= the true global
-/// answer d*. A candidate pruned against nextafter(shared) has
-/// distance >= nextafter(shared) > shared >= d* — strictly worse than the
-/// winner even under ties — so cross-partition pruning can never discard a
-/// correct result. The one-ulp outward nudge keeps a candidate whose
-/// distance EQUALS the foreign bound alive: local collectors break ties by
-/// scan order, and a foreign tie carries no order information.
-///
-/// Lock-free by design (a mutex here would serialize the scans this class
-/// exists to parallelize): one atomic double, monotonically non-increasing
-/// under a CAS loop, relaxed ordering — the value is a pruning HINT whose
-/// staleness only costs work, never correctness.
-class SharedBound {
- public:
-  SharedBound() = default;
-  SharedBound(const SharedBound&) = delete;
-  SharedBound& operator=(const SharedBound&) = delete;
-
-  /// Current bound; +inf until the first Publish.
-  double load() const { return bound_.load(std::memory_order_relaxed); }
-
-  /// Monotonic CAS-min: the bound only ever tightens, regardless of the
-  /// interleaving of concurrent publishers.
-  void Publish(double candidate) {
-    double current = bound_.load(std::memory_order_relaxed);
-    while (candidate < current &&
-           !bound_.compare_exchange_weak(current, candidate,
-                                         std::memory_order_relaxed)) {
-    }
-  }
-
- private:
-  std::atomic<double> bound_{std::numeric_limits<double>::infinity()};
-};
-
 /// The layered query engine: FlatDataset storage -> Measure -> pruning
 /// cascade -> one generic driver (parameterized by a result collector:
 /// best-so-far, k-th-best heap, or radius) -> batch execution.
@@ -273,8 +229,8 @@ class QueryEngine {
                                obs::QueryMetrics* metrics = nullptr) const;
 
   /// k-NN, ascending by distance; the k-th best distance prunes. k < 1
-  /// returns an empty result without scanning (as do KnnLeaveOneOut,
-  /// KnnShared and KnnSearchBatch); KnnChecked rejects it instead.
+  /// returns an empty result without scanning (as do KnnLeaveOneOut and
+  /// KnnSearchBatch); KnnChecked rejects it instead.
   std::vector<Neighbor> Knn(const Series& query, int k,
                             StepCounter* counter = nullptr,
                             obs::QueryMetrics* metrics = nullptr) const;
@@ -290,25 +246,6 @@ class QueryEngine {
   std::vector<Neighbor> Range(const Series& query, double radius,
                               StepCounter* counter = nullptr,
                               obs::QueryMetrics* metrics = nullptr) const;
-
-  /// 1-NN with a cross-partition best-so-far exchange: behaves exactly
-  /// like SearchLeaveOneOut over THIS engine's database, but additionally
-  /// prunes against `shared` (one ulp outward, so foreign ties never
-  /// displace a local winner) and publishes local improvements into it.
-  /// Used by ShardedIndex to search disjoint shards in parallel with
-  /// GLOBAL pruning power; with a fresh SharedBound it degenerates to
-  /// SearchLeaveOneOut bit-for-bit. `shared` must be non-null.
-  ScanResult SearchShared(const Series& query, std::size_t holdout,
-                          SharedBound* shared,
-                          obs::QueryMetrics* metrics = nullptr) const;
-
-  /// k-NN variant of SearchShared: publishes the local k-th-best distance
-  /// (a sound global bound — any candidate outside its own partition's
-  /// top k is outside the global top k).
-  std::vector<Neighbor> KnnShared(const Series& query, int k,
-                                  std::size_t holdout, SharedBound* shared,
-                                  StepCounter* counter = nullptr,
-                                  obs::QueryMetrics* metrics = nullptr) const;
 
   /// Validates a query against this engine's database: non-empty, finite,
   /// and length-matching.
@@ -374,8 +311,8 @@ class QueryEngine {
   /// describe this database at the query's length, SoA tile groups when
   /// the cascade can score them, id order otherwise — fetch accounting, and
   /// cancellation polling, feeding `collector` (best-so-far, k-th-best
-  /// heap, radius, or a SharedBound wrapper of one). `holdout` is skipped;
-  /// `outcome` may be null for the unchecked entry points.
+  /// heap, or radius). `holdout` is skipped; `outcome` may be null for the
+  /// unchecked entry points.
   template <typename Collector>
   void Scan(const Series& query, std::size_t holdout, Collector& collector,
             StepCounter* counter, obs::QueryMetrics* metrics,

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -418,64 +419,73 @@ TEST(VecSignatureBackendTest, EveryBackendFiltersAtTheConfiguredWidth) {
 /// split of the database — with or without a delta segment and
 /// tombstones — answers 1-NN, k-NN, and range queries identically to one
 /// monolithic in-memory engine over the same live rows, for every
-/// cascade and measure, in both search modes. Serial mode is bit-exact
-/// including step counts (one engine over the concatenated view);
-/// parallel mode is bit-exact on answers (the SharedBound exchange only
-/// tightens pruning) — its step counts legitimately differ with
-/// interleaving, and its k-NN index choice could differ from the
-/// monolithic heap's only under exact k-th-distance ties, which this
-/// tie-free workload does not produce. A SnapshotView holds no resident
-/// signatures, so sharded index cascades visit in id order while the
-/// monolithic reference walks its signatures: for those, answers are
-/// compared but step counts are not.
+/// cascade and measure: rows, distances, shifts and mirror flags, and
+/// step counts (one engine over the concatenated view). Two inputs: a
+/// tie-free database, and one holding exact copies of both query rows in
+/// another shard and in the delta, so 1-NN and k = 3 tie at distance 0
+/// across parts and the reported row is decided by visit order alone.
+///
+/// A SnapshotView holds no resident signatures, so a sharded index
+/// cascade visits in id order, running the stages after the index stage —
+/// as the monolithic engine runs the cascade without it. The monolithic
+/// index cascade walks its signatures instead, and reports another row
+/// among exact ties; against it only distances are compared.
 class ShardEquivalenceTest : public ::testing::TestWithParam<DistanceKind> {};
 
 TEST_P(ShardEquivalenceTest, ShardedMatchesMonolithicOverLiveRows) {
   const DistanceKind kind = GetParam();
   const std::vector<Series> base = MakeProjectilePointsDatabase(21, 36, 701);
   const std::vector<Series> extra = MakeProjectilePointsDatabase(4, 36, 702);
-  const std::string prefix = "/tmp/rotind_shardeq." +
-                             std::to_string(::getpid()) + "." +
-                             DistanceKindName(kind);
+  constexpr std::size_t kQueries[] = {2, 13};
   IndexBuildOptions build;
   build.sig_dims = 4;
   build.paa_dims = 4;
   build.page_size_bytes = 256;
 
   std::vector<std::string> scratch_files;
-  for (const std::size_t shard_count : {1u, 2u, 4u, 7u}) {
-    // Uneven contiguous split: the first `extra_rows` shards take one more.
-    const std::string manifest_path =
-        prefix + ".s" + std::to_string(shard_count) + ".rman";
-    scratch_files.push_back(manifest_path);
-    storage::Manifest manifest;
-    manifest.generation = 1;
-    std::size_t row = 0;
-    const std::size_t per = base.size() / shard_count;
-    const std::size_t extra_rows = base.size() % shard_count;
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      const std::size_t count = per + (s < extra_rows ? 1 : 0);
-      const std::string file = "rotind_shardeq." + std::to_string(::getpid()) +
-                               "." + std::string(DistanceKindName(kind)) +
-                               ".s" + std::to_string(shard_count) + "." +
-                               std::to_string(s) + ".ridx";
-      Dataset part;
-      part.items.assign(base.begin() + static_cast<std::ptrdiff_t>(row),
-                        base.begin() +
-                            static_cast<std::ptrdiff_t>(row + count));
-      ASSERT_TRUE(BuildIndexFile(part, build, "/tmp/" + file).ok());
-      scratch_files.push_back("/tmp/" + file);
-      manifest.shards.push_back(storage::ManifestShard{
-          file, static_cast<std::uint64_t>(count), 36});
-      row += count;
+  for (const bool ties : {false, true}) {
+    // The tie input puts the copy of base[13] first and the copy of
+    // base[2] last, so at every split of two or more shards each copy
+    // lands in a different shard than its original.
+    std::vector<Series> rows = base;
+    std::vector<Series> inserts = extra;
+    if (ties) {
+      rows.insert(rows.begin(), base[13]);
+      rows.push_back(base[2]);
+      for (const std::size_t qi : kQueries) inserts.push_back(base[qi]);
     }
-    ASSERT_TRUE(storage::WriteManifest(manifest, manifest_path).ok());
+    const std::string input = ties ? "ties" : "distinct";
+    for (const std::size_t shard_count : {1u, 2u, 4u, 7u}) {
+      // Uneven contiguous split: the first `extra_rows` shards take one
+      // more.
+      const std::string stem = "rotind_shardeq." +
+                               std::to_string(::getpid()) + "." +
+                               std::string(DistanceKindName(kind)) + "." +
+                               input + ".s" + std::to_string(shard_count);
+      const std::string manifest_path = "/tmp/" + stem + ".rman";
+      scratch_files.push_back(manifest_path);
+      storage::Manifest manifest;
+      manifest.generation = 1;
+      std::size_t row = 0;
+      const std::size_t per = rows.size() / shard_count;
+      const std::size_t extra_rows = rows.size() % shard_count;
+      for (std::size_t s = 0; s < shard_count; ++s) {
+        const std::size_t count = per + (s < extra_rows ? 1 : 0);
+        const std::string file = stem + "." + std::to_string(s) + ".ridx";
+        Dataset part;
+        part.items.assign(rows.begin() + static_cast<std::ptrdiff_t>(row),
+                          rows.begin() +
+                              static_cast<std::ptrdiff_t>(row + count));
+        ASSERT_TRUE(BuildIndexFile(part, build, "/tmp/" + file).ok());
+        scratch_files.push_back("/tmp/" + file);
+        manifest.shards.push_back(storage::ManifestShard{
+            file, static_cast<std::uint64_t>(count), 36});
+        row += count;
+      }
+      ASSERT_TRUE(storage::WriteManifest(manifest, manifest_path).ok());
 
-    for (const bool parallel : {false, true}) {
       for (const Composition& c : MakeCascades(kind, base[0].size())) {
         ShardedOptions options;
-        options.parallel_search = parallel;
-        options.num_threads = 3;
         options.pool_pages = 4;
         options.engine.kind = kind;
         options.engine.band = 4;
@@ -487,16 +497,18 @@ TEST_P(ShardEquivalenceTest, ShardedMatchesMonolithicOverLiveRows) {
 
         // Three cumulative mutation stages: pristine shards, plus delta
         // inserts, plus tombstones over both shard and delta rows.
-        std::vector<Series> all_rows = base;
-        std::vector<bool> dead(base.size(), false);
+        std::vector<Series> all_rows = rows;
+        std::vector<bool> dead(rows.size(), false);
         for (int stage = 0; stage < 3; ++stage) {
           if (stage == 1) {
-            for (const Series& s : extra) {
+            for (const Series& s : inserts) {
               ASSERT_TRUE(index.Insert(s).ok());
               all_rows.push_back(s);
               dead.push_back(false);
             }
           } else if (stage == 2) {
+            // On the tie input, ids 3 and 22 are both shard copies of
+            // base[2]: its 1-NN moves to the delta copy.
             for (const std::uint64_t id : {3u, 15u, 22u}) {
               ASSERT_TRUE(index.Remove(id).ok());
               dead[id] = true;
@@ -512,57 +524,66 @@ TEST_P(ShardEquivalenceTest, ShardedMatchesMonolithicOverLiveRows) {
             live_ids.push_back(static_cast<int>(i));
           }
           const FlatDataset flat = FlatDataset::FromItems(live);
-          const QueryEngine reference(flat, options.engine);
+          Composition id_order = c;
+          id_order.stages.erase(
+              std::remove(id_order.stages.begin(), id_order.stages.end(),
+                          StageKind::kSignatureIndex),
+              id_order.stages.end());
+          const QueryEngine reference(flat, id_order.Into(options.engine));
+          const QueryEngine walked(flat, options.engine);
+          const auto expect_same = [&](const std::vector<Neighbor>& got,
+                                       const std::vector<Neighbor>& want,
+                                       const std::vector<Neighbor>& walk,
+                                       const std::string& label) {
+            ASSERT_EQ(got.size(), want.size()) << label;
+            ASSERT_EQ(got.size(), walk.size()) << label;
+            for (std::size_t r = 0; r < got.size(); ++r) {
+              EXPECT_EQ(got[r].index,
+                        live_ids[static_cast<std::size_t>(want[r].index)])
+                  << label << " rank " << r;
+              EXPECT_EQ(got[r].distance, want[r].distance)
+                  << label << " rank " << r;
+              EXPECT_EQ(got[r].shift, want[r].shift)
+                  << label << " rank " << r;
+              EXPECT_EQ(got[r].mirrored, want[r].mirrored)
+                  << label << " rank " << r;
+              EXPECT_EQ(got[r].distance, walk[r].distance)
+                  << label << " rank " << r;
+            }
+          };
+          const auto best = [](const ScanResult& r) {
+            return std::vector<Neighbor>{{r.best_index, r.best_distance,
+                                          r.best_shift, r.best_mirrored}};
+          };
 
-          for (const std::size_t qi : {2u, 13u}) {
+          for (const std::size_t qi : kQueries) {
             const Series& query = base[qi];
             const std::string label =
-                std::string(DistanceKindName(kind)) + "/s" +
-                std::to_string(shard_count) +
-                (parallel ? "/parallel" : "/serial") + "/" + c.Name() +
-                "/stage" + std::to_string(stage) +
-                "/q" + std::to_string(qi);
+                std::string(DistanceKindName(kind)) + "/" + input + "/s" +
+                std::to_string(shard_count) + "/" + c.Name() + "/stage" +
+                std::to_string(stage) + "/q" + std::to_string(qi);
 
             const ScanResult ref = reference.Search(query);
             StatusOr<ScanResult> got = index.Search(query);
             ASSERT_TRUE(got.ok()) << label;
             ASSERT_GE(ref.best_index, 0) << label;
-            EXPECT_EQ(got->best_index, live_ids[static_cast<std::size_t>(
-                                           ref.best_index)])
+            expect_same(best(*got), best(ref), best(walked.Search(query)),
+                        label + " 1-NN");
+            EXPECT_EQ(got->counter.total_steps(), ref.counter.total_steps())
                 << label;
-            EXPECT_EQ(got->best_distance, ref.best_distance) << label;
-            if (!parallel && !c.Has(StageKind::kSignatureIndex)) {
-              EXPECT_EQ(got->counter.total_steps(),
-                        ref.counter.total_steps())
-                  << label;
-            }
 
             const auto ref_knn = reference.Knn(query, 3);
             StatusOr<std::vector<Neighbor>> knn = index.Knn(query, 3);
             ASSERT_TRUE(knn.ok()) << label;
-            ASSERT_EQ(knn->size(), ref_knn.size()) << label;
-            for (std::size_t r = 0; r < knn->size(); ++r) {
-              EXPECT_EQ((*knn)[r].index,
-                        live_ids[static_cast<std::size_t>(ref_knn[r].index)])
-                  << label << " rank " << r;
-              EXPECT_EQ((*knn)[r].distance, ref_knn[r].distance)
-                  << label << " rank " << r;
-            }
+            expect_same(*knn, ref_knn, walked.Knn(query, 3),
+                        label + " k-NN");
 
             const double radius = ref_knn.back().distance * 1.01;
-            const auto ref_range = reference.Range(query, radius);
             StatusOr<std::vector<Neighbor>> range =
                 index.Range(query, radius);
             ASSERT_TRUE(range.ok()) << label;
-            ASSERT_EQ(range->size(), ref_range.size()) << label;
-            for (std::size_t r = 0; r < range->size(); ++r) {
-              EXPECT_EQ((*range)[r].index,
-                        live_ids[static_cast<std::size_t>(
-                            ref_range[r].index)])
-                  << label << " hit " << r;
-              EXPECT_EQ((*range)[r].distance, ref_range[r].distance)
-                  << label << " hit " << r;
-            }
+            expect_same(*range, reference.Range(query, radius),
+                        walked.Range(query, radius), label + " range");
           }
         }
       }

@@ -209,8 +209,6 @@ TEST(QueryEngineTest, UncheckedKnnWithKBelowOneIsEmpty) {
     EXPECT_TRUE(engine.Knn(query, k, &counter).empty()) << "k=" << k;
     EXPECT_EQ(counter.total_steps(), 0u) << "k=" << k;
     EXPECT_TRUE(engine.KnnLeaveOneOut(query, k, 2).empty()) << "k=" << k;
-    SharedBound shared;
-    EXPECT_TRUE(engine.KnnShared(query, k, 2, &shared).empty()) << "k=" << k;
     const auto batch = engine.KnnSearchBatch({query, query}, k, 2);
     ASSERT_EQ(batch.size(), 2u) << "k=" << k;
     EXPECT_TRUE(batch[0].empty() && batch[1].empty()) << "k=" << k;

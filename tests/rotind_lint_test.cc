@@ -479,15 +479,19 @@ TEST(RotindLintTest, GuardedByScopesToTheOwningClassOnly) {
 TEST(RotindLintTest, DetectsAtomicOutsideAllowlist) {
   const std::vector<SourceFile> files = {
       {"src/index/bad.cc", "std::atomic<int> hits{0};\n"},
+      // The allowlist names files, not modules: engine.cc is on it,
+      // engine.h is not.
+      {"src/search/engine.h", "std::atomic<double> bound_{0.0};\n"},
       // Allowlisted files and non-src trees may use atomics freely.
       {"src/core/cancel.h", "std::atomic<bool> cancelled_{false};\n"},
       {"tests/ok_test.cc", "std::atomic<int> done{0};\n"},
       {"src/search/ok.cc", "// counter was std::atomic before the Mutex\n"},
   };
   const std::vector<Finding> findings = CheckAtomicAllowlist(files);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "atomic-allowlist");
+  ASSERT_EQ(findings.size(), 2u);
+  for (const Finding& f : findings) EXPECT_EQ(f.rule, "atomic-allowlist");
   EXPECT_EQ(findings[0].file, "src/index/bad.cc");
+  EXPECT_EQ(findings[1].file, "src/search/engine.h");
 }
 
 /// The sharded-index edges: serve -> index (server opens shard sets via

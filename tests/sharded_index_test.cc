@@ -190,9 +190,24 @@ TEST_F(ShardedIndexTest, TombstonesHideShardAndDeltaRows) {
   EXPECT_EQ(index.Remove(1000).code(), StatusCode::kOutOfRange);
   EXPECT_TRUE(index.Remove(2).ok());
   EXPECT_EQ(index.live_size(), 7u);
+
+  // With every row hidden, queries answer as an engine over no rows does:
+  // no 1-NN (index -1, distance +inf), no neighbours, no range hits.
+  for (std::uint64_t g = 0; g < 8; ++g) ASSERT_TRUE(index.Remove(g).ok());
+  EXPECT_EQ(index.live_size(), 0u);
+  StatusOr<ScanResult> none = index.Search(MakeRow(2, 16));
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_EQ(none->best_index, -1);
+  EXPECT_EQ(none->best_distance, std::numeric_limits<double>::infinity());
+  StatusOr<std::vector<Neighbor>> knn = index.Knn(MakeRow(2, 16), 3);
+  ASSERT_TRUE(knn.ok()) << knn.status().ToString();
+  EXPECT_TRUE(knn->empty());
+  StatusOr<std::vector<Neighbor>> range = index.Range(MakeRow(2, 16), 1e9);
+  ASSERT_TRUE(range.ok()) << range.status().ToString();
+  EXPECT_TRUE(range->empty());
 }
 
-/// A serial query runs one engine over the SnapshotView, whose page hold
+/// A query runs one engine over the SnapshotView, whose page hold
 /// follows the scan from shard to shard and past the delta rows: each
 /// live shard page is pinned once (a page whose rows are all tombstoned
 /// not at all), and FetchStats are those of one pin per row — fetches =
@@ -200,15 +215,12 @@ TEST_F(ShardedIndexTest, TombstonesHideShardAndDeltaRows) {
 TEST_F(ShardedIndexTest, SerialScanPinsEachLiveShardPageOnce) {
   // 16 doubles = 128 bytes: four rows per 512-byte page.
   const std::string path = BuildShardSet(dir_, {6, 9, 5}, 16);
-  ShardedOptions options;
-  options.parallel_search = false;
   const Series query = MakeRow(11, 16);
 
   for (int kind = 0; kind < 3; ++kind) {
     SCOPED_TRACE("query kind " + std::to_string(kind));
     // Reopened per query, so every shard pool starts cold.
-    StatusOr<std::unique_ptr<ShardedIndex>> opened =
-        ShardedIndex::Open(path, options);
+    StatusOr<std::unique_ptr<ShardedIndex>> opened = ShardedIndex::Open(path);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     ShardedIndex& index = **opened;
     // Rows 4 and 5 fill shard 0's second page; row 10 shares a page of
@@ -500,8 +512,8 @@ TEST_F(ShardedIndexTest, SnapshotEngineOutlivesCompaction) {
 
 /// A shard set may mix container versions: a manifest naming a v2 shard
 /// written by an older writer (FNV-1a checksums) and a v3 shard opens, and
-/// both its serial and its parallel answers equal a monolithic engine's
-/// over the same rows, with every page of both shards read and verified.
+/// its answers equal a monolithic engine's over the same rows, with every
+/// page of both shards read and verified.
 TEST_F(ShardedIndexTest, MixedVersionShardSetMatchesMonolithic) {
   const Dataset old_rows = testing::LegacyRidxRows();  // 4 rows of length 8
   const std::size_t length = old_rows.length();
@@ -534,36 +546,31 @@ TEST_F(ShardedIndexTest, MixedVersionShardSetMatchesMonolithic) {
     queries.push_back(std::move(query));
   }
 
-  for (const bool parallel : {false, true}) {
-    ShardedOptions options;
-    options.parallel_search = parallel;
-    options.num_threads = 2;
-    options.pool_pages = 2;
-    StatusOr<std::unique_ptr<ShardedIndex>> opened =
-        ShardedIndex::Open(path, options);
-    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    const ShardedIndex& index = **opened;
-    const QueryEngine reference(flat, options.engine);
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      SCOPED_TRACE(std::string(parallel ? "parallel" : "serial") +
-                   " query " + std::to_string(q));
-      const ScanResult want = reference.Search(queries[q]);
-      StatusOr<ScanResult> got = index.Search(queries[q]);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(got->best_index, want.best_index);
-      EXPECT_EQ(got->best_distance, want.best_distance);
+  ShardedOptions options;
+  options.pool_pages = 2;
+  StatusOr<std::unique_ptr<ShardedIndex>> opened =
+      ShardedIndex::Open(path, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const ShardedIndex& index = **opened;
+  const QueryEngine reference(flat, options.engine);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    SCOPED_TRACE("query " + std::to_string(q));
+    const ScanResult want = reference.Search(queries[q]);
+    StatusOr<ScanResult> got = index.Search(queries[q]);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->best_index, want.best_index);
+    EXPECT_EQ(got->best_distance, want.best_distance);
 
-      // k = every row: each page of both shards is read and verified.
-      const std::vector<Neighbor> want_knn =
-          reference.Knn(queries[q], static_cast<int>(all.size()));
-      StatusOr<std::vector<Neighbor>> knn =
-          index.Knn(queries[q], static_cast<int>(all.size()));
-      ASSERT_TRUE(knn.ok()) << knn.status().ToString();
-      ASSERT_EQ(knn->size(), want_knn.size());
-      for (std::size_t r = 0; r < knn->size(); ++r) {
-        EXPECT_EQ((*knn)[r].index, want_knn[r].index) << "rank " << r;
-        EXPECT_EQ((*knn)[r].distance, want_knn[r].distance) << "rank " << r;
-      }
+    // k = every row: each page of both shards is read and verified.
+    const std::vector<Neighbor> want_knn =
+        reference.Knn(queries[q], static_cast<int>(all.size()));
+    StatusOr<std::vector<Neighbor>> knn =
+        index.Knn(queries[q], static_cast<int>(all.size()));
+    ASSERT_TRUE(knn.ok()) << knn.status().ToString();
+    ASSERT_EQ(knn->size(), want_knn.size());
+    for (std::size_t r = 0; r < knn->size(); ++r) {
+      EXPECT_EQ((*knn)[r].index, want_knn[r].index) << "rank " << r;
+      EXPECT_EQ((*knn)[r].distance, want_knn[r].distance) << "rank " << r;
     }
   }
 }
