@@ -55,7 +55,13 @@ inline QuerySet PickQueries(std::size_t database_size, std::size_t count,
 inline FlatDataset RestrictFlat(const std::vector<Series>& db,
                                 std::size_t m) {
   FlatDataset out;
-  for (std::size_t i = 0; i < m && i < db.size(); ++i) out.Add(db[i]);
+  for (std::size_t i = 0; i < m && i < db.size(); ++i) {
+    const Status added = out.Add(db[i]);
+    if (!added.ok()) {
+      std::fprintf(stderr, "object %zu: %s\n", i, added.ToString().c_str());
+      std::exit(2);
+    }
+  }
   return out;
 }
 

@@ -3,10 +3,14 @@
 /// Runs every cascade composition (the paper's rival scans plus the
 /// vec-signature filter in front of each terminal) over a synthetic
 /// projectile-points workload under Euclidean and DTW, then times the
-/// batch driver at 1 and
-/// N threads. Results — implementation-free step counts, stage-attributed
-/// observability metrics, AND wall-clock — are written as JSON so CI can
-/// archive and diff them across commits.
+/// batch driver at 1 and N threads. Every configuration and the batch row
+/// run kRepetitions times, interleaved (all rows once, then all rows
+/// again), so a slow spell of a shared host lands on every row alike; the
+/// JSON gives each wall time as the median with its min and max. Results —
+/// implementation-free step counts, stage-attributed observability metrics
+/// (of the first repetition), AND wall-clock — are written as JSON so CI
+/// can archive and diff them across commits. A repetition whose counters
+/// differ from the first repetition's fails the run (exit 1).
 ///
 ///   engine_scan_bench [output.json] [--check baseline.json]
 ///                     [--tolerance FRAC]
@@ -19,6 +23,7 @@
 ///
 /// Scale: ROTIND_BENCH_SCALE=full for paper-sized inputs.
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cmath>
@@ -40,8 +45,23 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Timed runs of every row; the counters of each must equal the first's.
+constexpr int kRepetitions = 3;
+
 double Seconds(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
+}
+
+/// Median, min and max of one row's repetitions.
+struct WallTimes {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+WallTimes Summarize(std::vector<double> seconds) {
+  std::sort(seconds.begin(), seconds.end());
+  return {seconds[seconds.size() / 2], seconds.front(), seconds.back()};
 }
 
 struct Row {
@@ -99,6 +119,7 @@ bool IsCounterKey(const std::string& key) {
 struct CounterSample {
   std::string key;
   double value = 0.0;
+  bool operator==(const CounterSample&) const = default;
 };
 
 /// Extracts every `"key": <number>` pair whose key is a deterministic
@@ -140,6 +161,25 @@ std::vector<CounterSample> ExtractCounters(const std::string& text) {
     i = j + 1;
   }
   return out;
+}
+
+/// True when two runs' deterministic counters agree, key for key.
+bool SameCounters(const obs::QueryMetrics& a, const obs::QueryMetrics& b) {
+  return ExtractCounters(a.ToJson(0)) == ExtractCounters(b.ToJson(0));
+}
+
+/// True when two batch runs returned the same answers at the same steps.
+bool SameResults(const std::vector<ScanResult>& a,
+                 const std::vector<ScanResult>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].best_index != b[i].best_index ||
+        a[i].best_distance != b[i].best_distance ||
+        a[i].counter.total_steps() != b[i].counter.total_steps()) {
+      return false;
+    }
+  }
+  return true;
 }
 
 bool ReadFile(const std::string& path, std::string* out) {
@@ -258,26 +298,89 @@ int Run(int argc, char** argv) {
       {"dtw/wedge", DistanceKind::kDtw, {{StageKind::kWedge}}},
   };
 
+  // Batch driver scaling: the same wedge workload at 1 thread vs the
+  // machine's parallelism, with bit-identical results by construction.
+  std::vector<Series> batch_queries;
+  for (std::size_t qi : qs.query_indices) {
+    batch_queries.push_back(db.Materialize(qi));
+  }
+  const QueryEngine engine(db);
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  const int threads = hw > 1 ? hw : 2;
+
   bool attribution_exact = true;
-  std::vector<Row> rows;
-  for (const Config& c : configs) {
-    EngineOptions options;
-    options.kind = c.kind;
-    options.band = 5;
-    options.cascade = c.cascade;
-    if (c.vec_sig_dims != 0) options.vec_sig_dims = c.vec_sig_dims;
-    rows.push_back(RunConfig(c.name, db, qs.query_indices, options));
-    const Row& row = rows.back();
-    if (row.metrics.attributed_total_steps() != row.total_steps) {
-      std::fprintf(stderr,
-                   "  %s: stage attribution leak — %llu attributed vs %llu "
-                   "counted\n",
-                   row.name.c_str(),
-                   static_cast<unsigned long long>(
-                       row.metrics.attributed_total_steps()),
-                   static_cast<unsigned long long>(row.total_steps));
-      attribution_exact = false;
+  bool identical = true;
+  bool repeatable = true;
+  std::vector<Row> rows;  // the first repetition's counters
+  std::vector<std::vector<double>> row_seconds(configs.size());
+  std::vector<double> serial_seconds;
+  std::vector<double> parallel_seconds;
+  std::vector<ScanResult> first_serial;
+  obs::QueryMetrics serial_metrics;
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+      EngineOptions options;
+      options.kind = configs[c].kind;
+      options.band = 5;
+      options.cascade = configs[c].cascade;
+      if (configs[c].vec_sig_dims != 0) {
+        options.vec_sig_dims = configs[c].vec_sig_dims;
+      }
+      Row row = RunConfig(configs[c].name, db, qs.query_indices, options);
+      row_seconds[c].push_back(row.wall_seconds);
+      if (row.metrics.attributed_total_steps() != row.total_steps) {
+        std::fprintf(stderr,
+                     "  %s: stage attribution leak — %llu attributed vs "
+                     "%llu counted\n",
+                     row.name.c_str(),
+                     static_cast<unsigned long long>(
+                         row.metrics.attributed_total_steps()),
+                     static_cast<unsigned long long>(row.total_steps));
+        attribution_exact = false;
+      }
+      if (rep == 0) {
+        rows.push_back(std::move(row));
+      } else if (row.total_steps != rows[c].total_steps ||
+                 !SameCounters(row.metrics, rows[c].metrics)) {
+        std::fprintf(stderr,
+                     "  %s: repetition %d counters differ from the first "
+                     "repetition's\n",
+                     row.name.c_str(), rep + 1);
+        repeatable = false;
+      }
     }
+
+    obs::QueryMetrics serial_rep_metrics;
+    obs::QueryMetrics parallel_metrics;
+    const auto t1 = Clock::now();
+    const auto serial = engine.SearchBatch(batch_queries, 1, nullptr,
+                                           &serial_rep_metrics);
+    const auto t2 = Clock::now();
+    const auto parallel = engine.SearchBatch(batch_queries, threads, nullptr,
+                                             &parallel_metrics);
+    const auto t3 = Clock::now();
+    serial_seconds.push_back(Seconds(t1, t2));
+    parallel_seconds.push_back(Seconds(t2, t3));
+    identical = identical && SameResults(serial, parallel) &&
+                serial_rep_metrics.attributed_total_steps() ==
+                    parallel_metrics.attributed_total_steps();
+    if (rep == 0) {
+      first_serial = serial;
+      serial_metrics = serial_rep_metrics;
+    } else if (!SameResults(serial, first_serial) ||
+               !SameCounters(serial_rep_metrics, serial_metrics)) {
+      std::fprintf(stderr,
+                   "  batch: repetition %d counters differ from the first "
+                   "repetition's\n",
+                   rep + 1);
+      repeatable = false;
+    }
+  }
+
+  std::vector<WallTimes> row_walls;
+  for (std::size_t c = 0; c < rows.size(); ++c) {
+    row_walls.push_back(Summarize(row_seconds[c]));
+    const Row& row = rows[c];
     // Per-stage pruning power: what fraction of the candidates entering
     // each stage it removed — the paper's Figure 19-23 metric, per stage
     // instead of per cascade. Terminals never prune (they decide), so
@@ -296,45 +399,20 @@ int Run(int argc, char** argv) {
                         static_cast<double>(st.candidates_entered));
       pruning += cell;
     }
-    std::printf("  %-40s %14llu steps  %8.3f s%s\n", row.name.c_str(),
+    std::printf("  %-40s %14llu steps  %8.3f s (%.3f-%.3f)%s\n",
+                row.name.c_str(),
                 static_cast<unsigned long long>(row.total_steps),
-                row.wall_seconds, pruning.c_str());
+                row_walls[c].median, row_walls[c].min, row_walls[c].max,
+                pruning.c_str());
   }
-
-  // Batch driver scaling: the same wedge workload at 1 thread vs the
-  // machine's parallelism, with bit-identical results by construction.
-  std::vector<Series> batch_queries;
-  for (std::size_t qi : qs.query_indices) {
-    batch_queries.push_back(db.Materialize(qi));
-  }
-  const QueryEngine engine(db);
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  const int threads = hw > 1 ? hw : 2;
-  obs::QueryMetrics serial_metrics;
-  obs::QueryMetrics parallel_metrics;
-  const auto t1 = Clock::now();
-  const auto serial = engine.SearchBatch(batch_queries, 1, nullptr,
-                                         &serial_metrics);
-  const auto t2 = Clock::now();
-  const auto parallel = engine.SearchBatch(batch_queries, threads, nullptr,
-                                           &parallel_metrics);
-  const auto t3 = Clock::now();
-  const double serial_s = Seconds(t1, t2);
-  const double parallel_s = Seconds(t2, t3);
-  bool identical = serial.size() == parallel.size() &&
-                   serial_metrics.attributed_total_steps() ==
-                       parallel_metrics.attributed_total_steps();
-  for (std::size_t i = 0; identical && i < serial.size(); ++i) {
-    identical = serial[i].best_index == parallel[i].best_index &&
-                serial[i].best_distance == parallel[i].best_distance &&
-                serial[i].counter.total_steps() ==
-                    parallel[i].counter.total_steps();
-  }
+  const WallTimes serial_s = Summarize(serial_seconds);
+  const WallTimes parallel_s = Summarize(parallel_seconds);
+  const double speedup =
+      parallel_s.median > 0.0 ? serial_s.median / parallel_s.median : 0.0;
   std::printf("  batch: %zu queries  1 thread %.3f s, %d threads %.3f s "
               "(%.2fx, identical=%s)\n",
-              batch_queries.size(), serial_s, threads, parallel_s,
-              parallel_s > 0.0 ? serial_s / parallel_s : 0.0,
-              identical ? "yes" : "NO");
+              batch_queries.size(), serial_s.median, threads, parallel_s.median,
+              speedup, identical ? "yes" : "NO");
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
@@ -345,35 +423,40 @@ int Run(int argc, char** argv) {
   std::fprintf(out,
                "  \"dataset\": {\"generator\": \"projectile-points\", "
                "\"m\": %zu, \"n\": %zu, \"queries\": %zu, "
-               "\"simd\": \"%s\"},\n",
-               m, n, num_queries, simd::ActiveTierName());
+               "\"simd\": \"%s\", \"repetitions\": %d},\n",
+               m, n, num_queries, simd::ActiveTierName(), kRepetitions);
   std::fprintf(out, "  \"results\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(out,
                  "    {\"name\": \"%s\", \"kind\": \"%s\", "
                  "\"total_steps\": %llu, \"wall_seconds\": %.6f, "
+                 "\"wall_seconds_min\": %.6f, \"wall_seconds_max\": %.6f, "
                  "\"queries\": %zu,\n"
                  "     \"metrics\":\n%s}%s\n",
                  rows[i].name.c_str(), rows[i].kind.c_str(),
                  static_cast<unsigned long long>(rows[i].total_steps),
-                 rows[i].wall_seconds, rows[i].queries,
-                 rows[i].metrics.ToJson(5).c_str(),
+                 row_walls[i].median, row_walls[i].min, row_walls[i].max,
+                 rows[i].queries, rows[i].metrics.ToJson(5).c_str(),
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
   std::fprintf(out,
                "  \"batch\": {\"queries\": %zu, \"threads\": %d, "
-               "\"serial_seconds\": %.6f, \"parallel_seconds\": %.6f, "
+               "\"serial_seconds\": %.6f, \"serial_seconds_min\": %.6f, "
+               "\"serial_seconds_max\": %.6f, "
+               "\"parallel_seconds\": %.6f, "
+               "\"parallel_seconds_min\": %.6f, "
+               "\"parallel_seconds_max\": %.6f, "
                "\"speedup\": %.3f, \"bit_identical\": %s,\n"
                "   \"metrics\":\n%s}\n",
-               batch_queries.size(), threads, serial_s, parallel_s,
-               parallel_s > 0.0 ? serial_s / parallel_s : 0.0,
-               identical ? "true" : "false",
+               batch_queries.size(), threads, serial_s.median, serial_s.min,
+               serial_s.max, parallel_s.median, parallel_s.min, parallel_s.max,
+               speedup, identical ? "true" : "false",
                serial_metrics.ToJson(3).c_str());
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
-  if (!identical || !attribution_exact) return 1;
+  if (!identical || !attribution_exact || !repeatable) return 1;
   if (!baseline_path.empty()) {
     return CheckAgainstBaseline(out_path, baseline_path, tolerance);
   }

@@ -30,7 +30,12 @@ int main() {
   for (int i = 0; i < 10; ++i) {
     const RadialShapeSpec spec = RandomShapeSpec(&rng, 7);
     const Bitmap image = Bitmap::FromPolygon(RadialPolygon(spec, 360), 128);
-    database.Add(ShapeToSeries(image, n));
+    // Add refuses a series whose length differs from the first one's.
+    const Status added = database.Add(ShapeToSeries(image, n));
+    if (!added.ok()) {
+      std::fprintf(stderr, "%s\n", added.ToString().c_str());
+      return 1;
+    }
   }
 
   // 3. The query: object #4, rotated by 100 degrees (as a bitmap!).

@@ -17,8 +17,9 @@ namespace rotind {
 inline constexpr std::size_t kSimdAlignment = 64;
 
 /// A growable array of doubles whose base pointer is always 64-byte
-/// aligned — the backing store for FlatDataset's doubled buffer and SoA
-/// tiles, where the SIMD kernels require aligned tile loads.
+/// aligned — the backing store for FlatDataset's rows, the blocked scan's
+/// SoA tile (the SIMD kernels require aligned tile loads) and the buffer
+/// pool's frames.
 ///
 /// Semantics mirror the std::vector<double> it replaces: resize preserves
 /// the prefix and zero-fills the new tail, capacity grows geometrically so

@@ -1,9 +1,8 @@
 #include "src/core/flat_dataset.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
-
-#include "src/core/contracts.h"
 
 namespace rotind {
 
@@ -11,10 +10,11 @@ FlatDataset FlatDataset::FromItems(const std::vector<Series>& items) {
   FlatDataset out;
   if (items.empty()) return out;
   out.n_ = items[0].size();
-  out.buffer_.reserve(items.size() * 2 * out.n_);
-  out.tiles_.reserve(((items.size() + kTileLanes - 1) / kTileLanes) *
-                     kTileLanes * out.n_);
-  for (const Series& s : items) out.Add(s);
+  out.buffer_.reserve(items.size() * out.n_);
+  for (const Series& s : items) {
+    [[maybe_unused]] const Status added = out.Add(s);
+    assert(added.ok() && "FromItems needs items of one length");
+  }
   return out;
 }
 
@@ -42,27 +42,32 @@ StatusOr<FlatDataset> FlatDataset::FromItemsChecked(
   return FromItems(items);
 }
 
-void FlatDataset::Add(const Series& s) {
+Status FlatDataset::Add(const Series& s) {
   if (count_ == 0 && n_ == 0) n_ = s.size();
-  assert(s.size() == n_ && "FlatDataset items must share one length");
+  if (s.size() != n_) {
+    return Status::InvalidArgument(
+        "series has length " + std::to_string(s.size()) +
+        ", the dataset's items have length " + std::to_string(n_));
+  }
   const std::size_t old = buffer_.size();
-  buffer_.resize(old + 2 * n_);
-  std::memcpy(buffer_.data() + old, s.data(), n_ * sizeof(double));
-  std::memcpy(buffer_.data() + old + n_, s.data(), n_ * sizeof(double));
-
-  // Mirror the new item into its SoA tile column. The tile group is
-  // zero-filled on allocation (AlignedBuffer::resize), so tail lanes of a
-  // partial group already hold the finite padding the kernels rely on.
-  const std::size_t group = count_ / kTileLanes;
-  const std::size_t lane = count_ % kTileLanes;
-  tiles_.resize((group + 1) * kTileLanes * n_);
-  double* t = tiles_.data() + group * kTileLanes * n_;
-  for (std::size_t i = 0; i < n_; ++i) t[i * kTileLanes + lane] = s[i];
+  buffer_.resize(old + n_);
+  if (n_ != 0) {
+    std::memcpy(buffer_.data() + old, s.data(), n_ * sizeof(double));
+  }
   ++count_;
+  return Status::Ok();
+}
 
-  ROTIND_CONTRACT(IsSimdAligned(buffer_.data()) && IsSimdAligned(tiles_.data()),
-                  "FlatDataset backing storage must stay 64-byte aligned — "
-                  "the src/simd/ kernels issue aligned tile loads");
+void FlatDataset::CopyTile(std::size_t g, double* tile) const {
+  const std::size_t base = g * kTileLanes;
+  const std::size_t valid = std::min(kTileLanes, count_ - base);
+  for (std::size_t l = 0; l < valid; ++l) {
+    const double* row = data(base + l);
+    for (std::size_t t = 0; t < n_; ++t) tile[t * kTileLanes + l] = row[t];
+  }
+  for (std::size_t l = valid; l < kTileLanes; ++l) {
+    for (std::size_t t = 0; t < n_; ++t) tile[t * kTileLanes + l] = 0.0;
+  }
 }
 
 Series FlatDataset::Materialize(std::size_t i) const {

@@ -12,28 +12,22 @@
 
 namespace rotind {
 
-/// Zero-copy view of n contiguous doubles — one series, or one rotation of
-/// one series inside a doubled buffer.
+/// Zero-copy view of n contiguous doubles: one series.
 using SeriesView = std::span<const double>;
 
 /// Contiguous, cache-friendly storage for a database of equal-length series.
 ///
-/// Every item is stored DOUBLED (s ++ s) in one flat buffer, so:
-///  * scans walk memory linearly instead of chasing per-item heap
-///    allocations (`std::vector<Series>` costs one indirection and a likely
-///    cache miss per object);
-///  * every rotation of every item is a contiguous window `rotation(i, s)`
-///    — a zero-copy SeriesView, the same trick RotationSet plays for query
-///    rotations, now available database-side.
+/// Every item is stored ONCE, n doubles at stride n in one 64-byte-aligned
+/// buffer (AlignedBuffer), so scans walk memory linearly instead of chasing
+/// per-item heap allocations (`std::vector<Series>` costs one indirection
+/// and a likely cache miss per object). Rotations are the query's business:
+/// the wedges enclose the query's rotations (RotationSet), never a
+/// candidate's, so no rotated copy of a row is kept.
 ///
-/// Alongside the per-series (AoS) layout, the same data is mirrored as
-/// 64-byte-aligned TRANSPOSED tiles (structure-of-arrays): tile group g
-/// packs items [g*kTileLanes, g*kTileLanes + kTileLanes) lane-interleaved,
-/// with element t of lane l at `tile(g)[t * kTileLanes + l]`. One aligned
-/// load therefore fetches element t of eight consecutive candidates — the
-/// feed shape the src/simd/ blocked-scoring kernels want. Tail lanes past
-/// size() are zero-filled (finite, so padded lanes compute garbage safely;
-/// callers ignore them). Both layouts are 64-byte aligned (AlignedBuffer).
+/// The src/simd/ blocked-scoring kernels want candidates TRANSPOSED into
+/// 8-lane structure-of-arrays tiles; CopyTile fills one such tile from the
+/// rows on demand, into a buffer the scan owns, so the dataset holds no
+/// second copy of its rows.
 ///
 /// Labels and names ride along (empty when absent), making FlatDataset a
 /// drop-in for the `Dataset` aggregate in engine-facing code.
@@ -44,8 +38,9 @@ class FlatDataset {
 
   FlatDataset() = default;
 
-  /// Builds from owned series. All items must share one length; asserted in
-  /// debug builds (use FromItemsChecked at untrusted boundaries).
+  /// Builds from owned series. All items must share one length: asserted in
+  /// debug builds, and a release build leaves out an item of another length
+  /// (Add refuses it). Use FromItemsChecked at untrusted boundaries.
   static FlatDataset FromItems(const std::vector<Series>& items);
 
   /// Builds from a labelled Dataset, carrying labels/names over.
@@ -55,41 +50,34 @@ class FlatDataset {
   [[nodiscard]] static StatusOr<FlatDataset> FromItemsChecked(
       const std::vector<Series>& items);
 
-  /// Appends one series. The first Add fixes the length; later mismatches
-  /// are asserted in debug builds.
-  void Add(const Series& s);
+  /// Appends one series. The first Add fixes the length; a later series of
+  /// another length is refused with kInvalidArgument naming both lengths,
+  /// leaving the dataset unchanged.
+  [[nodiscard]] Status Add(const Series& s);
 
   std::size_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
   /// Common length n of every item (0 when empty).
   std::size_t length() const { return n_; }
 
-  /// Pointer to item i: n contiguous doubles (the first half of its doubled
-  /// region), valid until the next Add.
-  const double* data(std::size_t i) const {
-    return buffer_.data() + i * 2 * n_;
-  }
+  /// Pointer to item i: n contiguous doubles, valid until the next Add.
+  const double* data(std::size_t i) const { return buffer_.data() + i * n_; }
 
   /// Item i as a zero-copy view.
   SeriesView view(std::size_t i) const { return {data(i), n_}; }
-
-  /// Item i circularly left-shifted by `shift` in [0, n), as a zero-copy
-  /// view into the doubled region.
-  SeriesView rotation(std::size_t i, std::size_t shift) const {
-    return {data(i) + shift, n_};
-  }
 
   /// Number of SoA tile groups (ceil(size / kTileLanes)).
   std::size_t tile_groups() const {
     return (count_ + kTileLanes - 1) / kTileLanes;
   }
 
-  /// 64-byte-aligned SoA tile for group g: n * kTileLanes doubles, element
-  /// t of lane l at index t * kTileLanes + l, lanes past size() zero.
-  /// Valid until the next Add.
-  const double* tile(std::size_t g) const {
-    return tiles_.data() + g * kTileLanes * n_;
-  }
+  /// Writes group g's SoA tile into `tile` (kTileLanes * n doubles): items
+  /// [g*kTileLanes, g*kTileLanes + kTileLanes) lane-interleaved, element t
+  /// of lane l at `tile[t * kTileLanes + l]`, lanes past size() zero
+  /// (finite, so blocked kernels compute them safely; callers ignore
+  /// them). One aligned load of a 64-byte-aligned `tile` then fetches
+  /// element t of eight consecutive candidates.
+  void CopyTile(std::size_t g, double* tile) const;
 
   /// Item i as an owned Series (for callers that need a value).
   Series Materialize(std::size_t i) const;
@@ -101,11 +89,8 @@ class FlatDataset {
  private:
   std::size_t n_ = 0;
   std::size_t count_ = 0;
-  /// 2n doubles per item: item i occupies [i*2n, (i+1)*2n) as s ++ s.
+  /// n doubles per item: item i occupies [i*n, (i+1)*n).
   AlignedBuffer buffer_;
-  /// Transposed mirror of the first halves: kTileLanes * n doubles per
-  /// group, see tile().
-  AlignedBuffer tiles_;
   std::vector<int> labels_;
   std::vector<std::string> names_;
 };

@@ -37,7 +37,7 @@ double EarlyAbandonSquaredEuclidean(const double* q, const double* c,
                                     StepCounter* counter = nullptr);
 
 /// Blocked counterpart: scores one query against simd::kBlockLanes
-/// candidates stored as a 64-byte-aligned SoA tile (FlatDataset::tile).
+/// candidates stored as a 64-byte-aligned SoA tile (FlatDataset::CopyTile).
 /// All lanes are computed, but only the first `valid` lanes are charged to
 /// the counter (tail lanes of a partial tile group are zero padding).
 /// Per-lane results are bit-identical to the per-candidate scalar kernel:

@@ -1,24 +1,41 @@
 #include "src/io/bytes.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <bit>
+#include <cerrno>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 namespace rotind {
 namespace {
 
+/// Owns an open file descriptor and closes it on every way out of its
+/// scope, an exception from a growing buffer included.
+class ScopedFd {
+ public:
+  explicit ScopedFd(int fd) : fd_(fd) {}
+  ScopedFd(const ScopedFd&) = delete;
+  ScopedFd& operator=(const ScopedFd&) = delete;
+  ~ScopedFd() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  int get() const { return fd_; }
+
+ private:
+  int fd_;
+};
+
 /// fsyncs `path` through a fresh read-only descriptor (fsync flushes the
 /// inode's dirty pages regardless of the fd's access mode).
 Status FsyncPath(const std::string& path, int open_flags) {
-  const int fd = ::open(path.c_str(), open_flags | O_CLOEXEC);
-  if (fd < 0) return Status::IoError("cannot open " + path + " for fsync");
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) return Status::IoError("fsync failed on " + path);
+  const ScopedFd fd(::open(path.c_str(), open_flags | O_CLOEXEC));
+  if (fd.get() < 0) {
+    return Status::IoError("cannot open " + path + " for fsync");
+  }
+  if (::fsync(fd.get()) != 0) return Status::IoError("fsync failed on " + path);
   return Status::Ok();
 }
 
@@ -48,12 +65,31 @@ inline std::uint64_t LoadLe64(const unsigned char* p) {
 }  // namespace
 
 StatusOr<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) return Status::IoError("read failed on " + path);
-  return std::move(buf).str();
+  const ScopedFd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+  if (fd.get() < 0) return Status::NotFound("cannot open " + path);
+  // Presized to a regular file's length plus one spare chunk, which the
+  // read that meets EOF lands in, so the file is read in place with one
+  // allocation and no growth copy. A pipe or other stream reports no
+  // length: it starts at one chunk and doubles as it fills. Either way the
+  // read runs to EOF, so a file that grows meanwhile is read whole.
+  constexpr std::size_t kChunk = 4096;
+  std::size_t length = 0;
+  struct stat st = {};
+  if (::fstat(fd.get(), &st) == 0 && S_ISREG(st.st_mode)) {
+    length = static_cast<std::size_t>(st.st_size);
+  }
+  std::string out(length + kChunk, '\0');
+  std::size_t used = 0;
+  for (;;) {
+    if (used == out.size()) out.resize(2 * out.size());
+    const ssize_t got = ::read(fd.get(), out.data() + used, out.size() - used);
+    if (got < 0 && errno == EINTR) continue;
+    if (got < 0) return Status::IoError("read failed on " + path);
+    if (got == 0) break;
+    used += static_cast<std::size_t>(got);
+  }
+  out.resize(used);
+  return out;
 }
 
 Status WriteStringToFile(const std::string& path, const std::string& content,

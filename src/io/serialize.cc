@@ -333,6 +333,16 @@ StatusOr<Dataset> LoadDatasetUcrStatus(const std::string& path) {
   return ParseDatasetUcr(*bytes);
 }
 
+StatusOr<Dataset> LoadDatasetStatus(const std::string& path) {
+  StatusOr<std::string> bytes = ReadFileToString(path);
+  if (!bytes.ok()) return bytes.status();
+  if (bytes->size() >= sizeof(kMagic) &&
+      std::memcmp(bytes->data(), kMagic, sizeof(kMagic)) == 0) {
+    return ParseDatasetBinary(bytes->data(), bytes->size());
+  }
+  return ParseDatasetUcr(*bytes);
+}
+
 // ---------------------------------------------------------------------------
 // Legacy boolean wrappers.
 

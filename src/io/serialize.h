@@ -55,6 +55,12 @@ Status SaveDatasetUcrStatus(const Dataset& dataset, const std::string& path,
 /// have the same length.
 [[nodiscard]] StatusOr<Dataset> LoadDatasetUcrStatus(const std::string& path);
 
+/// Reads `path` once and parses whichever format its bytes hold: a binary
+/// container when they start with the "RIND" magic, UCR text otherwise.
+/// The one loader for files of either format; as it never reopens or seeks,
+/// a pipe (`--db <(cat db.csv)`) loads like a regular file.
+[[nodiscard]] StatusOr<Dataset> LoadDatasetStatus(const std::string& path);
+
 /// In-memory parsers behind the file loaders. These are the fuzzing entry
 /// points (tools/rotind_fuzz_load.cc) and what the fault-injection tests
 /// drive directly; they never touch the filesystem.

@@ -12,6 +12,7 @@
 #include <queue>
 #include <thread>
 
+#include "src/core/aligned.h"
 #include "src/core/contracts.h"
 #include "src/core/sync.h"
 #include "src/distance/euclidean.h"
@@ -25,7 +26,7 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// The blocked drivers hand FlatDataset tiles straight to the blocked ED
+// The blocked driver hands FlatDataset tiles straight to the blocked ED
 // kernels; the two lane widths are one constant seen from two layers.
 static_assert(FlatDataset::kTileLanes == simd::kBlockLanes,
               "SoA tile width must match the simd kernel lane width");
@@ -152,7 +153,7 @@ class TerminalStage {
   /// The wedge tree over the query's rotations, when this terminal builds
   /// one (kWedge under ED/DTW); the DTW signature index reuses it.
   virtual const WedgeTree* wedge_tree() const { return nullptr; }
-  /// Scores the first `valid` lanes of one tile (FlatDataset::tile).
+  /// Scores the first `valid` lanes of one tile (FlatDataset::CopyTile).
   /// out[l].distance must be the lane's exact distance with shift/mirrored
   /// resolved; out[l].found is left false — the DRIVER resolves it against
   /// the live threshold so the stats attribution matches the
@@ -845,16 +846,20 @@ void RunScan(Cursor& cursor, const Fetch& fetch, QueryCascade& cascade,
 /// Blocked driver: scores SoA tile groups 8 candidates at a time against
 /// the cascade terminal, used when the candidates live in an in-memory
 /// FlatDataset (fetches are free borrows there, so skipping them is
-/// observationally identical) and the cascade opted in. Lane outcomes are
-/// resolved against the LIVE collector threshold in candidate order, so
-/// answers, counters, and per-stage stats match RunScan exactly for the
-/// full-scan ED terminals, the only ones that opt in.
+/// observationally identical) and the cascade opted in. Each group is
+/// transposed into one 64-byte-aligned tile this scan owns
+/// (FlatDataset::CopyTile), so the dataset keeps a single copy of its
+/// rows. Lane outcomes are resolved against the LIVE collector threshold in
+/// candidate order, so answers, counters, and per-stage stats match RunScan
+/// exactly for the full-scan ED terminals, the only ones that opt in.
 template <typename Collector>
 void RunBlockedScan(const FlatDataset& flat, std::size_t holdout,
                     QueryCascade& cascade, Collector& collector,
                     StepCounter* counter) {
   constexpr std::size_t kLanes = FlatDataset::kTileLanes;
   const std::size_t db_size = flat.size();
+  AlignedBuffer tile;
+  tile.resize(kLanes * flat.length());
   for (std::size_t g = 0; g < flat.tile_groups(); ++g) {
     const std::size_t base = g * kLanes;
     const std::size_t valid = std::min(kLanes, db_size - base);
@@ -874,8 +879,9 @@ void RunBlockedScan(const FlatDataset& flat, std::size_t holdout,
       }
       continue;
     }
+    flat.CopyTile(g, tile.data());
     CandidateMatch block[kLanes];
-    cascade.CompareBlock(flat.tile(g), valid, block, counter);
+    cascade.CompareBlock(tile.data(), valid, block, counter);
     if (cascade.cancelled()) return;
     for (std::size_t l = 0; l < valid; ++l) {
       CandidateMatch m = block[l];
@@ -1121,7 +1127,7 @@ StatusOr<std::unique_ptr<QueryEngine>> QueryEngine::Open(
 
 const FlatDataset* QueryEngine::BlockedSource() const {
   // Only the plain in-memory borrow qualifies: its fetches charge nothing,
-  // so reading tiles directly is observationally identical. A
+  // so tiling its rows directly is observationally identical. A
   // dynamic_cast, not a kind check — FaultInjectingBackend forwards the
   // inner backend_kind() while its fetches inject faults, and those must
   // keep flowing through the backend's Fetch.

@@ -329,10 +329,10 @@ class QueryEngine {
                                    const CancelToken* cancel,
                                    obs::QueryMetrics* metrics) const;
 
-  /// The FlatDataset whose SoA tiles the blocked drivers may scan
-  /// directly, or nullptr when candidates must go through per-candidate
-  /// fetches (simulated, file, fault-injecting and sharded-view backends —
-  /// anything whose Fetch does accountable work or may fail).
+  /// The FlatDataset whose rows the blocked driver may tile directly, or
+  /// nullptr when candidates must go through per-candidate fetches
+  /// (simulated, file, fault-injecting and sharded-view backends — anything
+  /// whose Fetch does accountable work or may fail).
   const FlatDataset* BlockedSource() const;
 
   /// True when fetches do attributable I/O (simulated or file backend) —

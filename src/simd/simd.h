@@ -61,7 +61,7 @@ struct KernelTable {
   /// Full squared ED of one query rotation against kBlockLanes SoA-tiled
   /// candidates: out_sq[l] = sum_t (q[t] - tile[t*kBlockLanes + l])^2,
   /// accumulated in time order per lane. `tile` must be 64-byte aligned
-  /// (FlatDataset::tile).
+  /// (the blocked driver's tile buffer, filled by FlatDataset::CopyTile).
   void (*ed_block_full)(const double* q, const double* tile, std::size_t n,
                         double* out_sq);
 

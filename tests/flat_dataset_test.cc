@@ -1,8 +1,10 @@
-/// FlatDataset: contiguous doubled storage and zero-copy rotation views.
+/// FlatDataset: one contiguous row per item and the SoA tile copy.
 
 #include "src/core/flat_dataset.h"
 
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "src/core/aligned.h"
 #include "src/core/random.h"
@@ -19,17 +21,49 @@ TEST(FlatDatasetTest, EmptyByDefault) {
 
 TEST(FlatDatasetTest, AddFixesLengthAndStoresItems) {
   FlatDataset db;
-  db.Add({1.0, 2.0, 3.0});
-  db.Add({4.0, 5.0, 6.0});
+  ASSERT_TRUE(db.Add({1.0, 2.0, 3.0}).ok());
+  ASSERT_TRUE(db.Add({4.0, 5.0, 6.0}).ok());
   EXPECT_EQ(db.size(), 2u);
   EXPECT_EQ(db.length(), 3u);
   EXPECT_EQ(db.Materialize(0), (Series{1.0, 2.0, 3.0}));
   EXPECT_EQ(db.Materialize(1), (Series{4.0, 5.0, 6.0}));
 }
 
+/// A series shorter or longer than the dataset's length is refused in every
+/// build, with both lengths named, and leaves the dataset as it was.
+TEST(FlatDatasetTest, AddRejectsAShortSeries) {
+  FlatDataset db;
+  ASSERT_TRUE(db.Add({1.0, 2.0, 3.0}).ok());
+  const Status short_add = db.Add({4.0, 5.0});
+  EXPECT_EQ(short_add.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(short_add.message().find("length 2"), std::string::npos)
+      << short_add.message();
+  EXPECT_NE(short_add.message().find("length 3"), std::string::npos)
+      << short_add.message();
+  EXPECT_EQ(db.size(), 1u);
+  EXPECT_EQ(db.length(), 3u);
+  EXPECT_EQ(db.Materialize(0), (Series{1.0, 2.0, 3.0}));
+  ASSERT_TRUE(db.Add({7.0, 8.0, 9.0}).ok());
+  EXPECT_EQ(db.Materialize(1), (Series{7.0, 8.0, 9.0}));
+}
+
+TEST(FlatDatasetTest, AddRejectsALongSeries) {
+  FlatDataset db;
+  ASSERT_TRUE(db.Add({1.0, 2.0}).ok());
+  const Status long_add = db.Add({3.0, 4.0, 5.0, 6.0});
+  EXPECT_EQ(long_add.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(long_add.message().find("length 4"), std::string::npos)
+      << long_add.message();
+  EXPECT_NE(long_add.message().find("length 2"), std::string::npos)
+      << long_add.message();
+  EXPECT_EQ(db.size(), 1u);
+  EXPECT_EQ(db.length(), 2u);
+  EXPECT_EQ(db.Materialize(0), (Series{1.0, 2.0}));
+}
+
 TEST(FlatDatasetTest, ViewAliasesStorage) {
   FlatDataset db;
-  db.Add({1.0, 2.0, 3.0});
+  ASSERT_TRUE(db.Add({1.0, 2.0, 3.0}).ok());
   const SeriesView v = db.view(0);
   ASSERT_EQ(v.size(), 3u);
   EXPECT_EQ(v.data(), db.data(0));
@@ -37,29 +71,17 @@ TEST(FlatDatasetTest, ViewAliasesStorage) {
   EXPECT_DOUBLE_EQ(v[2], 3.0);
 }
 
-TEST(FlatDatasetTest, RotationViewsAreZeroCopyCircularShifts) {
+/// One copy per item: item i's n doubles start right where item i-1's end.
+TEST(FlatDatasetTest, ItemsAreContiguousAtStrideN) {
   FlatDataset db;
-  const Series s = {1.0, 2.0, 3.0, 4.0, 5.0};
-  db.Add(s);
-  for (std::size_t shift = 0; shift < s.size(); ++shift) {
-    const SeriesView r = db.rotation(0, shift);
-    ASSERT_EQ(r.size(), s.size());
-    // Zero copy: the view points into the doubled buffer, not a temporary.
-    EXPECT_EQ(r.data(), db.data(0) + shift);
-    for (std::size_t j = 0; j < s.size(); ++j) {
-      EXPECT_DOUBLE_EQ(r[j], s[(j + shift) % s.size()])
-          << "shift " << shift << " position " << j;
-    }
+  ASSERT_TRUE(db.Add({1.0, 2.0, 3.0}).ok());
+  ASSERT_TRUE(db.Add({4.0, 5.0, 6.0}).ok());
+  ASSERT_TRUE(db.Add({7.0, 8.0, 9.0}).ok());
+  EXPECT_EQ(db.data(1), db.data(0) + 3);
+  EXPECT_EQ(db.data(2), db.data(0) + 6);
+  for (std::size_t k = 0; k < 9; ++k) {
+    EXPECT_EQ(db.data(0)[k], 1.0 + static_cast<double>(k)) << "element " << k;
   }
-}
-
-TEST(FlatDatasetTest, ItemsAreContiguousAtStride2N) {
-  FlatDataset db;
-  db.Add({1.0, 2.0});
-  db.Add({3.0, 4.0});
-  db.Add({5.0, 6.0});
-  EXPECT_EQ(db.data(1), db.data(0) + 4);
-  EXPECT_EQ(db.data(2), db.data(0) + 8);
 }
 
 TEST(FlatDatasetTest, FromItemsRoundTrips) {
@@ -106,22 +128,29 @@ TEST(FlatDatasetTest, FromItemsCheckedAcceptsRectangular) {
   EXPECT_EQ(ok->size(), 2u);
 }
 
-/// The SIMD kernels issue 64-byte aligned loads against both the doubled
-/// buffer and the SoA tiles; the dataset owns that guarantee.
+/// The rows live in one 64-byte-aligned buffer, as growth by Add keeps it.
 TEST(FlatDatasetTest, BackingStorageIsSimdAligned) {
   FlatDataset db;
   for (int i = 0; i < 11; ++i) {
-    db.Add({1.0 * i, 2.0 * i, 3.0 * i});
-  }
-  EXPECT_TRUE(IsSimdAligned(db.data(0)));
-  ASSERT_GT(db.tile_groups(), 0u);
-  for (std::size_t g = 0; g < db.tile_groups(); ++g) {
-    EXPECT_TRUE(IsSimdAligned(db.tile(g))) << "group " << g;
+    ASSERT_TRUE(db.Add({1.0 * i, 2.0 * i, 3.0 * i}).ok());
+    EXPECT_TRUE(IsSimdAligned(db.data(0))) << "after add " << i;
   }
 }
 
-/// SoA layout: element t of candidate `base + l` lives at
-/// tile(g)[t * kTileLanes + l]. Built incrementally via Add, which is the
+/// Group g's tile as CopyTile writes it, into an aligned buffer prefilled
+/// with NaN so a lane CopyTile skipped cannot pass for zero.
+AlignedBuffer TileOf(const FlatDataset& db, std::size_t g) {
+  AlignedBuffer tile;
+  tile.resize(FlatDataset::kTileLanes * db.length());
+  for (std::size_t k = 0; k < tile.size(); ++k) {
+    tile[k] = std::numeric_limits<double>::quiet_NaN();
+  }
+  db.CopyTile(g, tile.data());
+  return tile;
+}
+
+/// SoA layout: element t of candidate `base + l` lands at
+/// tile[t * kTileLanes + l]. Built incrementally via Add, which is the
 /// path FromItems also uses.
 TEST(FlatDatasetTest, TilesTransposeCandidatesIntoLanes) {
   const std::size_t n = 5;
@@ -133,13 +162,13 @@ TEST(FlatDatasetTest, TilesTransposeCandidatesIntoLanes) {
     items.push_back(s);
   }
   FlatDataset db;
-  for (const Series& s : items) db.Add(s);
+  for (const Series& s : items) ASSERT_TRUE(db.Add(s).ok());
 
   ASSERT_EQ(db.tile_groups(), 3u);
   for (std::size_t i = 0; i < items.size(); ++i) {
     const std::size_t g = i / FlatDataset::kTileLanes;
     const std::size_t lane = i % FlatDataset::kTileLanes;
-    const double* tile = db.tile(g);
+    const AlignedBuffer tile = TileOf(db, g);
     for (std::size_t t = 0; t < n; ++t) {
       EXPECT_EQ(tile[t * FlatDataset::kTileLanes + lane], items[i][t])
           << "item " << i << " element " << t;
@@ -151,11 +180,12 @@ TEST(FlatDatasetTest, TilesTransposeCandidatesIntoLanes) {
 /// them unconditionally and the caller can ignore the results.
 TEST(FlatDatasetTest, TileTailLanesAreZero) {
   FlatDataset db;
-  db.Add({1.0, 2.0});
-  db.Add({3.0, 4.0});
-  db.Add({5.0, 6.0});  // 3 candidates: lanes 3..7 of the only group unused
+  ASSERT_TRUE(db.Add({1.0, 2.0}).ok());
+  ASSERT_TRUE(db.Add({3.0, 4.0}).ok());
+  // 3 candidates: lanes 3..7 of the only group unused
+  ASSERT_TRUE(db.Add({5.0, 6.0}).ok());
   ASSERT_EQ(db.tile_groups(), 1u);
-  const double* tile = db.tile(0);
+  const AlignedBuffer tile = TileOf(db, 0);
   for (std::size_t t = 0; t < db.length(); ++t) {
     for (std::size_t lane = db.size(); lane < FlatDataset::kTileLanes;
          ++lane) {
@@ -165,8 +195,8 @@ TEST(FlatDatasetTest, TileTailLanesAreZero) {
   }
 }
 
-/// The tile mirror stays consistent as Add crosses group boundaries: the
-/// SoA view must match the per-series view after every single insertion.
+/// Tiles stay consistent as Add crosses group boundaries: the SoA copy
+/// must match the per-series view after every single insertion.
 TEST(FlatDatasetTest, TilesStayConsistentAcrossIncrementalAdds) {
   const std::size_t n = 3;
   FlatDataset db;
@@ -174,13 +204,13 @@ TEST(FlatDatasetTest, TilesStayConsistentAcrossIncrementalAdds) {
   for (std::size_t i = 0; i < 2 * FlatDataset::kTileLanes + 1; ++i) {
     Series s(n);
     for (double& v : s) v = rng.Gaussian(0.0, 1.0);
-    db.Add(s);
+    ASSERT_TRUE(db.Add(s).ok());
     for (std::size_t j = 0; j <= i; ++j) {
       const std::size_t g = j / FlatDataset::kTileLanes;
       const std::size_t lane = j % FlatDataset::kTileLanes;
+      const AlignedBuffer tile = TileOf(db, g);
       for (std::size_t t = 0; t < n; ++t) {
-        ASSERT_EQ(db.tile(g)[t * FlatDataset::kTileLanes + lane],
-                  db.data(j)[t])
+        ASSERT_EQ(tile[t * FlatDataset::kTileLanes + lane], db.data(j)[t])
             << "after add " << i << ": item " << j << " element " << t;
       }
     }

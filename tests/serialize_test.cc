@@ -9,6 +9,9 @@
 
 #include "src/core/random.h"
 #include "src/datasets/synthetic.h"
+#include "src/io/bytes.h"
+#include "tests/testing/fault_injection.h"
+#include "tests/testing/fifo.h"
 
 namespace rotind {
 namespace {
@@ -244,6 +247,81 @@ TEST(BinarySerializeStatusTest, SaveRejectsRaggedAndNonFinite) {
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kBadValue);
   EXPECT_FALSE(std::filesystem::exists(path));  // rejected before any write
+}
+
+// --- One loader for both formats -------------------------------------------
+
+void ExpectSameDataset(const Dataset& got, const Dataset& want) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(got.labels, want.labels);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got.items[i].size(), want.items[i].size()) << i;
+    for (std::size_t j = 0; j < want.length(); ++j) {
+      EXPECT_NEAR(got.items[i][j], want.items[i][j], 1e-12) << i << "," << j;
+    }
+  }
+}
+
+/// LoadDatasetStatus picks the format from the bytes it read: the binary
+/// container by its magic, UCR text otherwise.
+TEST(LoadDatasetStatusTest, SniffsEachFormatFromItsBytes) {
+  const Dataset original = SampleDataset();
+  const std::string bin = TempPath("rotind_sniff.bin");
+  const std::string csv = TempPath("rotind_sniff.csv");
+  ASSERT_TRUE(SaveDatasetBinaryStatus(original, bin).ok());
+  ASSERT_TRUE(SaveDatasetUcrStatus(original, csv).ok());
+  const StatusOr<Dataset> from_bin = LoadDatasetStatus(bin);
+  ASSERT_TRUE(from_bin.ok()) << from_bin.status().ToString();
+  EXPECT_EQ(from_bin->items, original.items);  // bit-exact
+  EXPECT_EQ(from_bin->names, original.names);
+  ExpectSameDataset(*from_bin, original);
+  const StatusOr<Dataset> from_csv = LoadDatasetStatus(csv);
+  ASSERT_TRUE(from_csv.ok()) << from_csv.status().ToString();
+  ExpectSameDataset(*from_csv, original);
+  std::remove(bin.c_str());
+  std::remove(csv.c_str());
+}
+
+/// A container cut short gets the binary loader's verdict, not a UCR parse
+/// error about its header bytes.
+TEST(LoadDatasetStatusTest, TruncatedContainerReportsTruncation) {
+  const std::string path = TempPath("rotind_sniff_trunc.bin");
+  ASSERT_TRUE(SaveDatasetBinaryStatus(SampleDataset(), path).ok());
+  // Chop mid-payload: the header still fits the file, the rows do not.
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
+  const StatusOr<Dataset> loaded = LoadDatasetStatus(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kTruncated);
+  std::remove(path.c_str());
+}
+
+TEST(LoadDatasetStatusTest, MissingFileIsNotFound) {
+  const StatusOr<Dataset> loaded = LoadDatasetStatus("/nonexistent/rotind.csv");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
+}
+
+/// Both formats load through a FIFO, as `--db <(cat db.csv)` hands them
+/// over: the file is read once, never reopened or sought.
+TEST(LoadDatasetStatusTest, LoadsEitherFormatThroughAFifo) {
+  const Dataset original = SampleDataset();
+  const std::string csv = TempPath("rotind_fifo_source.csv");
+  ASSERT_TRUE(SaveDatasetUcrStatus(original, csv).ok());
+  const StatusOr<std::string> text = ReadFileToString(csv);
+  std::remove(csv.c_str());
+  ASSERT_TRUE(text.ok());
+  const std::string image = testing::BinaryImageOf(original);
+  ASSERT_FALSE(image.empty());
+
+  const StatusOr<Dataset> from_bin =
+      testing::ReadThroughFifo(image, LoadDatasetStatus);
+  ASSERT_TRUE(from_bin.ok()) << from_bin.status().ToString();
+  EXPECT_EQ(from_bin->items, original.items);  // bit-exact
+  ExpectSameDataset(*from_bin, original);
+  const StatusOr<Dataset> from_csv =
+      testing::ReadThroughFifo(*text, LoadDatasetStatus);
+  ASSERT_TRUE(from_csv.ok()) << from_csv.status().ToString();
+  ExpectSameDataset(*from_csv, original);
 }
 
 }  // namespace

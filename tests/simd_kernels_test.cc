@@ -18,8 +18,8 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/flat_dataset.h"
 #include "src/core/random.h"
+#include "src/core/series.h"
 
 namespace rotind {
 namespace simd {
@@ -143,14 +143,13 @@ TEST_F(SimdParityTest, LbKeoghMatchesBitForBit) {
   }
 }
 
-/// LB_Keogh over rotation offsets and mirror (reversed) views — the inputs
-/// the wedge cascade actually feeds it: pointers into a doubled buffer.
+/// LB_Keogh over rotations of a series and of its mirror (reversed) view —
+/// the inputs the wedge cascade feeds it.
 TEST_F(SimdParityTest, LbKeoghMatchesOnRotationsAndMirrors) {
   Rng rng(103);
   const std::size_t n = 37;
-  FlatDataset db;
-  db.Add(RandomSeries(&rng, n, 1.0));
-  db.Add(Reversed(db.Materialize(0)));  // the mirror view, doubled too
+  const Series base = RandomSeries(&rng, n, 1.0);
+  const Series items[] = {base, Reversed(base)};
   std::vector<double> upper(n);
   std::vector<double> lower(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -161,7 +160,8 @@ TEST_F(SimdParityTest, LbKeoghMatchesOnRotationsAndMirrors) {
   }
   for (std::size_t item : {0u, 1u}) {
     for (std::size_t shift = 0; shift < n; shift += 5) {
-      const double* rot = db.rotation(item, shift).data();
+      const Series rotated = RotateLeft(items[item], static_cast<long>(shift));
+      const double* rot = rotated.data();
       for (double limit : {kInf, 1.0, 0.05}) {
         std::size_t se = 0;
         std::size_t ve = 0;
@@ -179,7 +179,7 @@ TEST_F(SimdParityTest, LbKeoghMatchesOnRotationsAndMirrors) {
 }
 
 /// Builds an SoA tile (kBlockLanes candidates, possibly fewer valid — the
-/// rest zero-padded) the way FlatDataset lays them out.
+/// rest zero-padded) the way FlatDataset::CopyTile lays them out.
 std::vector<double> MakeTile(Rng* rng, std::size_t n, std::size_t valid) {
   std::vector<double> tile(n * kBlockLanes, 0.0);
   for (std::size_t l = 0; l < valid; ++l) {

@@ -56,7 +56,8 @@
 /// stay exact.
 ///
 /// Databases are UCR-format text (label,v1,v2,...) or the binary format
-/// produced with --binary; the loader sniffs the magic bytes.
+/// produced with --binary; the loader reads the file once and sniffs the
+/// magic bytes, so a pipe (`--db <(cat db.csv)`) works as well as a file.
 ///
 /// --metrics-json writes the query's stage-attributed observability report
 /// (candidate flow, step attribution, wedge walk, latency) as JSON.
@@ -465,27 +466,14 @@ bool ParseArgs(int argc, char** argv, Args* args) {
 }
 
 bool LoadDb(const std::string& path, Dataset* out) {
-  StatusOr<Dataset> binary = LoadDatasetBinaryStatus(path);
-  if (binary.ok()) {
-    *out = *std::move(binary);
-    return true;
-  }
-  // Not a binary container at all? Try UCR text; otherwise report the
-  // binary loader's specific verdict (truncated, corrupt header, ...).
-  if (binary.status().code() == StatusCode::kBadMagic ||
-      binary.status().code() == StatusCode::kTruncated) {
-    StatusOr<Dataset> ucr = LoadDatasetUcrStatus(path);
-    if (ucr.ok()) {
-      *out = *std::move(ucr);
-      return true;
-    }
+  StatusOr<Dataset> loaded = LoadDatasetStatus(path);
+  if (!loaded.ok()) {
     std::fprintf(stderr, "cannot read database %s: %s\n", path.c_str(),
-                 ucr.status().ToString().c_str());
+                 loaded.status().ToString().c_str());
     return false;
   }
-  std::fprintf(stderr, "cannot read database %s: %s\n", path.c_str(),
-               binary.status().ToString().c_str());
-  return false;
+  *out = *std::move(loaded);
+  return true;
 }
 
 /// Checks every flag whose valid range depends on the loaded database.
